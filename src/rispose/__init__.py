@@ -13,15 +13,13 @@ from .channel import (ChannelMode, khatri_rao, noise_sigma_for_snr, observe,
                       ris_ue_channel)
 from .config import ConfigError, RunConfig, load_config, parse_config, serialize_config
 from .estimator import (DegenerateGeometryError, EstimationError, PoseEstimate,
-                        ShiftPairs, direction_transform, distance_transform,
+                        direction_transform, distance_transform,
                         estimate_direction, estimate_distance,
                         estimate_orientation, estimate_pose,
                         estimate_pose_from_channel, orientation_transform,
-                        shift_pairs, tls_phase_ratio)
-from .geometry import (GridIndex, Pose, SystemConfig, flipped_index,
-                       linear_index, near_field_bounds, ris_element_grid,
-                       ris_element_position, sample_pose, ue_antenna_position,
-                       unit_direction)
+                        tls_phase_ratio)
+from .geometry import (Pose, SystemConfig, near_field_bounds, ris_element_grid,
+                       sample_pose, unit_direction)
 from .montecarlo import (NmseRow, NmseTable, TrialResult, pose_seed, run_sweep,
                          run_trial, trial_seed)
 from .recovery import RecoveredChannel, measurement_pinv, recover_channel
@@ -31,16 +29,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelMode", "CheckResult", "ConfigError", "DegenerateGeometryError",
-    "EstimationError", "GridIndex", "NmseRow", "NmseTable", "Pose",
-    "PoseEstimate", "RecoveredChannel", "RunConfig", "ShiftPairs",
-    "SystemConfig", "TrialResult", "direction_transform", "distance_transform",
-    "estimate_direction", "estimate_distance", "estimate_orientation",
-    "estimate_pose", "estimate_pose_from_channel", "flipped_index",
-    "khatri_rao", "linear_index", "load_config", "measurement_pinv",
-    "near_field_bounds", "noise_sigma_for_snr", "observe", "orientation_transform",
-    "parse_config", "pilot_matrix", "pose_seed", "recover_channel", "ris_bs_channel",
-    "ris_element_grid", "ris_element_position", "ris_profiles", "ris_ue_channel",
-    "run_sweep", "run_trial", "run_validation", "sample_pose",
-    "serialize_config", "shift_pairs", "tls_phase_ratio", "trial_seed",
-    "ue_antenna_position", "unit_direction",
+    "EstimationError", "NmseRow", "NmseTable", "Pose", "PoseEstimate",
+    "RecoveredChannel", "RunConfig", "SystemConfig", "TrialResult",
+    "direction_transform", "distance_transform", "estimate_direction",
+    "estimate_distance", "estimate_orientation", "estimate_pose",
+    "estimate_pose_from_channel", "khatri_rao", "load_config",
+    "measurement_pinv", "near_field_bounds", "noise_sigma_for_snr", "observe",
+    "orientation_transform", "parse_config", "pilot_matrix", "pose_seed",
+    "recover_channel", "ris_bs_channel", "ris_element_grid", "ris_profiles",
+    "ris_ue_channel", "run_sweep", "run_trial", "run_validation", "sample_pose",
+    "serialize_config", "tls_phase_ratio", "trial_seed", "unit_direction",
 ]

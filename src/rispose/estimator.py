@@ -12,9 +12,11 @@ conjugate-flipped copies of itself isolate one unknown each:
   per-antenna ratios that add an orientation term on top of the position
   term.
 
-Each ratio is estimated by a rank-one total-least-squares fit and converted
-back to a parameter through its phase.  All of it is exact for the Fresnel
-channel model and approximate for true Euclidean distances.
+Row shifts are slices of the (n_x, n_y, k_ue) grid view of a transform.
+Each ratio is estimated by a closed-form rank-one total-least-squares fit,
+for all columns at once, and converted back to a parameter through its
+phase.  All of it is exact for the Fresnel channel model and approximate
+for true Euclidean distances.
 """
 
 from __future__ import annotations
@@ -44,15 +46,6 @@ class DegenerateGeometryError(EstimationError):
 
     def __init__(self, message: str, stage: str = "tls"):
         super().__init__(stage, message)
-
-
-@dataclass(frozen=True)
-class ShiftPairs:
-    """Row-index pairs (kept, shifted) one RIS element apart along one axis."""
-
-    axis: str
-    kept: np.ndarray
-    shifted: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,49 +86,66 @@ def orientation_transform(a: np.ndarray) -> np.ndarray:
     return a * np.conj(a[::-1, :])
 
 
-def shift_pairs(cfg: SystemConfig, axis: str) -> ShiftPairs:
-    """Row pairs whose elements are neighbors along the given RIS axis.
+def _grid(x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """View an (n_ris, k_ue) matrix as the (n_x, n_y, k_ue) element grid.
 
-    Rows are in linear order with y varying fastest, so an x-neighbor sits
-    n_y rows later and a y-neighbor one row later (except at the y-edge).
+    Rows are x-major with y varying fastest (``ris_element_grid``), so the
+    x-neighbour rows are ``g[:-1]``/``g[1:]``, the y-neighbour rows
+    ``g[:, :-1]``/``g[:, 1:]``, and ``g[::-1, ::-1]`` mirrors the array
+    through its center.
     """
-    n, n_y = cfg.n_ris, cfg.n_y
-    if axis == "x":
-        kept = np.arange(n - n_y)
-        shifted = kept + n_y
-    elif axis == "y":
-        kept = np.flatnonzero(np.arange(n) % n_y != n_y - 1)
-        shifted = kept + 1
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return ShiftPairs(axis=axis, kept=kept, shifted=shifted)
+    return x.reshape(cfg.n_x, cfg.n_y, -1)
 
 
-def tls_phase_ratio(u: np.ndarray, v: np.ndarray) -> complex:
+def _shift_ratios(x: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column TLS ratios between rows one element apart along x and y."""
+    g = _grid(x, cfg)
+    k = g.shape[-1]
+    gx = tls_phase_ratio(g[:-1].reshape(-1, k), g[1:].reshape(-1, k))
+    gy = tls_phase_ratio(g[:, :-1].reshape(-1, k), g[:, 1:].reshape(-1, k))
+    return gx, gy
+
+
+def tls_phase_ratio(u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
     """Total-least-squares estimate of the scalar ratio in ``v ~ u * delta``.
 
-    Stacks [u v] and takes the right singular pair of the smallest singular
-    value; the ratio is ``-V12 / V22`` of the 2x2 right factor.  Exact for a
-    noiseless rank-one stack, symmetric in the noise on u and v otherwise.
+    ``u`` and ``v`` are (n,) vectors or (n, cols) stacks fitted column by
+    column.  With ``a = |u|^2``, ``c = |v|^2`` and ``b = u^H v``, the null
+    direction of the Gram matrix ``[[a, b], [b*, c]]`` of ``[u v]`` gives
+    ``delta = b / (a - lmin)`` (Golub & Van Loan, *Matrix Computations*,
+    section 6.3): the SVD fit in closed form.  Exact for a noiseless
+    rank-one stack, symmetric in the noise on u and v otherwise.
+
+    Returns:
+        A complex for (n,) inputs, a (cols,) array otherwise; NaN where the
+        fit cannot identify a finite ratio.
 
     Raises:
-        ValueError: on shape mismatch or an all-zero input vector.
-        DegenerateGeometryError: if the fit cannot identify a finite ratio.
+        ValueError: on shape mismatch or an all-zero input column.
     """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise ValueError(f"need equal-length 1-D inputs, got {u.shape} and {v.shape}")
-    if not (np.linalg.norm(u) > 0 and np.linalg.norm(v) > 0):
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    if u.ndim not in (1, 2) or u.shape != v.shape:
+        raise ValueError(f"need equal-shape 1-D or 2-D inputs, got {u.shape} and {v.shape}")
+    single = u.ndim == 1
+    if single:
+        u, v = u[:, None], v[:, None]
+    a = (u.conj() * u).real.sum(axis=0)
+    c = (v.conj() * v).real.sum(axis=0)
+    if not (np.all(a > 0) and np.all(c > 0)):
         raise ValueError("inputs must have nonzero norm")
-    stack = np.column_stack((u, v))
-    _, _, vh = np.linalg.svd(stack, full_matrices=False)
-    # right factor V = vh^H; the null direction is its second column
-    v12 = np.conj(vh[-1, 0])
-    v22 = np.conj(vh[-1, 1])
-    if abs(v22) < _TLS_TOL:
-        raise DegenerateGeometryError("null direction orthogonal to the ratio axis")
-    return complex(-v12 / v22)
+    b = (u.conj() * v).sum(axis=0)
+    abs_b = np.abs(b)
+    half = (a - c) / 2
+    # a - lmin = half + root; for a < c the same value is |b|^2 / (root - half),
+    # which avoids the cancellation
+    s = np.hypot(half, abs_b) + np.abs(half)
+    den = np.divide(abs_b ** 2, s, out=s.copy(), where=half < 0)
+    # den / hypot(den, |b|) is the null vector's component along v
+    degenerate = den <= _TLS_TOL * np.hypot(den, abs_b)
+    ratio = np.divide(b, den, out=np.full(b.shape, complex(np.nan, np.nan)),
+                      where=~degenerate)
+    return complex(ratio[0]) if single else ratio
 
 
 def distance_shift(k: int, r: float, cfg: SystemConfig) -> complex:
@@ -183,12 +193,8 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> tuple[float, np.ndarr
     k_vals = np.arange(-kh, kh)  # pair (k, k+1) per entry
     coeff = -2.0 * math.pi * (2 * k_vals + 1) * cfg.d_u ** 2 / cfg.wavelength
 
-    phases = np.full(k_ue - 1, np.nan)
-    for idx in range(k_ue - 1):
-        try:
-            phases[idx] = np.angle(tls_phase_ratio(b[:, idx], b[:, idx + 1]))
-        except DegenerateGeometryError:
-            pass  # leave NaN, excluded below
+    # NaN for an unidentifiable pair, excluded below
+    phases = np.angle(tls_phase_ratio(b[:, :-1], b[:, 1:]))
 
     # coarse distance from the |2k+1| = 1 pairs (k = -1 and k = 0)
     coarse = []
@@ -220,7 +226,8 @@ def estimate_direction(
     """Position azimuth/elevation from the direction transform ``c``.
 
     Per column, a TLS fit over x-axis (y-axis) row pairs estimates the two
-    element-shift ratios; the complex ratios are averaged over columns, then
+    element-shift ratios; the complex ratios are averaged over the columns
+    where both fits identify a ratio (the rest count as skipped), then
     the azimuth comes from the two-argument arctangent of the scaled phases
     and the elevation from an arccosine (argument clipped into [0, 1], with
     the raw value kept as a diagnostic).
@@ -230,20 +237,14 @@ def estimate_direction(
     """
     if c.shape != (cfg.n_ris, cfg.k_ue):
         raise ValueError(f"expected shape {(cfg.n_ris, cfg.k_ue)}, got {c.shape}")
-    px = shift_pairs(cfg, "x")
-    py = shift_pairs(cfg, "y")
-    ratios_x, ratios_y = [], []
-    skipped = 0
-    for col in range(cfg.k_ue):
-        try:
-            ratios_x.append(tls_phase_ratio(c[px.kept, col], c[px.shifted, col]))
-            ratios_y.append(tls_phase_ratio(c[py.kept, col], c[py.shifted, col]))
-        except DegenerateGeometryError:
-            skipped += 1
-    if not ratios_x or not ratios_y:
+    ratios_x, ratios_y = _shift_ratios(c, cfg)
+    fit = np.isfinite(ratios_x) & np.isfinite(ratios_y)
+    if not fit.any():
         raise EstimationError("direction", "shift ratio unidentifiable in every column")
-    delta_ex = complex(np.mean(ratios_x))
-    delta_ey = complex(np.mean(ratios_y))
+    # a column enters both means or neither
+    delta_ex = complex(np.mean(ratios_x[fit]))
+    delta_ey = complex(np.mean(ratios_y[fit]))
+    skipped = int(cfg.k_ue - np.count_nonzero(fit))
     ax = np.angle(delta_ex) / cfg.d_x
     ay = np.angle(delta_ey) / cfg.d_y
     if ax == 0.0 and ay == 0.0:
@@ -274,43 +275,32 @@ def estimate_orientation(
         raise ValueError(f"expected shape {(cfg.n_ris, cfg.k_ue)}, got {d.shape}")
     if not (math.isfinite(r_hat) and r_hat > 0):
         raise EstimationError("orientation", f"invalid distance input {r_hat!r}")
-    px = shift_pairs(cfg, "x")
-    py = shift_pairs(cfg, "y")
-    psi_per_k = np.full(cfg.k_ue, np.nan)
-    gamma_per_k = np.full(cfg.k_ue, np.nan)
-    cos_args = []
-    skipped = 0
-    for k in range(-cfg.k_half, cfg.k_half + 1):
-        if k == 0:
-            continue  # center antenna carries no orientation phase
-        col = k + cfg.k_half
-        try:
-            gx = tls_phase_ratio(d[px.kept, col], d[px.shifted, col])
-            gy = tls_phase_ratio(d[py.kept, col], d[py.shifted, col])
-        except DegenerateGeometryError:
-            skipped += 1
-            continue
-        alpha_x = np.angle(gx / delta_ex) / cfg.d_x
-        alpha_y = np.angle(gy / delta_ey) / cfg.d_y
-        sgn = 1.0 if k > 0 else -1.0
-        if alpha_x != 0.0 or alpha_y != 0.0:
-            # exact zeros carry no azimuth information; averaging atan2(0, 0)
-            # would silently bias the mean toward zero
-            psi_per_k[col] = math.atan2(sgn * alpha_y, sgn * alpha_x)
-        cos_arg = (cfg.wavelength * r_hat / (4 * math.pi * abs(k) * cfg.d_u)
-                   * math.hypot(alpha_x, alpha_y))
-        cos_args.append(cos_arg)
-        gamma_per_k[col] = math.acos(min(max(cos_arg, 0.0), 1.0))
-    psi_valid = np.isfinite(psi_per_k)
-    gamma_valid = np.isfinite(gamma_per_k)
-    if not psi_valid.any() or not gamma_valid.any():
+    gx, gy = _shift_ratios(d, cfg)
+    k = cfg.antenna_offsets()
+    # the center antenna carries no orientation phase
+    off_center = k != 0
+    cols = np.flatnonzero(off_center & np.isfinite(gx) & np.isfinite(gy))
+    skipped = int(np.count_nonzero(off_center)) - cols.size
+    sgn = np.sign(k[cols])
+    alpha_x = np.angle(gx[cols] / delta_ex) / cfg.d_x
+    alpha_y = np.angle(gy[cols] / delta_ey) / cfg.d_y
+    # exact zeros carry no azimuth information; averaging atan2(0, 0)
+    # would silently bias the mean toward zero
+    has_azimuth = (alpha_x != 0.0) | (alpha_y != 0.0)
+    if not has_azimuth.any():
         raise EstimationError(
             "orientation", "orientation phases unidentifiable for every antenna")
-    psi_hat = float(np.mean(psi_per_k[psi_valid]))
-    gamma_hat = float(np.mean(gamma_per_k[gamma_valid]))
-    diag = {"gamma_cos_arg_max": max(cos_args), "orientation_skipped": skipped,
+    psi = np.arctan2(sgn * alpha_y, sgn * alpha_x)[has_azimuth]
+    cos_args = (cfg.wavelength * r_hat / (4 * math.pi * np.abs(k[cols]) * cfg.d_u)
+                * np.hypot(alpha_x, alpha_y))
+    gamma = np.arccos(np.clip(cos_args, 0.0, 1.0))
+    psi_per_k = np.full(cfg.k_ue, np.nan)
+    psi_per_k[cols[has_azimuth]] = psi
+    gamma_per_k = np.full(cfg.k_ue, np.nan)
+    gamma_per_k[cols] = gamma
+    diag = {"gamma_cos_arg_max": float(cos_args.max()), "orientation_skipped": skipped,
             "psi_per_k": psi_per_k, "gamma_per_k": gamma_per_k}
-    return psi_hat, gamma_hat, diag
+    return float(np.mean(psi)), float(np.mean(gamma)), diag
 
 
 def estimate_pose_from_channel(a: np.ndarray, cfg: SystemConfig) -> PoseEstimate:

@@ -1,4 +1,4 @@
-"""Array geometry, index maps, near-field bounds, and pose sampling.
+"""Array geometry, the RIS element grid, near-field bounds, and pose sampling.
 
 Conventions used throughout the package:
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,13 +26,6 @@ THETA_RANGE_DEG = (10.0, 170.0)
 PHI_RANGE_DEG = (10.0, 80.0)
 PSI_RANGE_DEG = (15.0, 170.0)
 GAMMA_RANGE_DEG = (15.0, 80.0)
-
-
-class GridIndex(NamedTuple):
-    """Signed RIS element index, ``n`` along x and ``m`` along y."""
-
-    n: int
-    m: int
 
 
 @dataclass(frozen=True)
@@ -155,40 +147,6 @@ def unit_direction(azimuth: float, elevation: float) -> np.ndarray:
     ca, sa = math.cos(azimuth), math.sin(azimuth)
     ce, se = math.cos(elevation), math.sin(elevation)
     return np.array([ca * ce, sa * ce, se])
-
-
-def ris_element_position(index: GridIndex, cfg: SystemConfig) -> np.ndarray:
-    """Position of RIS element (n, m) in meters, shape (3,)."""
-    n, m = index
-    if abs(n) > cfg.nx_half or abs(m) > cfg.ny_half:
-        raise ValueError(f"element index {index} outside the array")
-    return np.array([n * cfg.d_x, m * cfg.d_y, 0.0])
-
-
-def ue_antenna_position(pose: Pose, k: int, cfg: SystemConfig) -> np.ndarray:
-    """Position of user antenna k (signed index from the center), shape (3,)."""
-    if abs(k) > cfg.k_half:
-        raise ValueError(f"antenna index {k} outside the array")
-    e = unit_direction(pose.theta, pose.phi)
-    g = unit_direction(pose.psi, pose.gamma)
-    return pose.r * e + k * cfg.d_u * g
-
-
-def linear_index(index: GridIndex, cfg: SystemConfig) -> int:
-    """1-based row index of element (n, m): x-major, y varying fastest."""
-    n, m = index
-    if abs(n) > cfg.nx_half or abs(m) > cfg.ny_half:
-        raise ValueError(f"element index {index} outside the array")
-    return (n + cfg.nx_half) * cfg.n_y + (m + cfg.ny_half) + 1
-
-
-def flipped_index(index: GridIndex, cfg: SystemConfig) -> int:
-    """1-based row index of the mirrored element (-n, -m).
-
-    Equals ``n_ris - linear_index(index) + 1``: reversing the element order
-    mirrors the array through its center.
-    """
-    return cfg.n_ris - linear_index(index, cfg) + 1
 
 
 def ris_element_grid(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:

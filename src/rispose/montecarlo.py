@@ -90,13 +90,12 @@ class NmseTable:
 
 
 def run_trial(cfg: SystemConfig, pose: Pose, snr_db: float, mode: ChannelMode,
-              rng: np.random.Generator,
-              structured: bool | None = None) -> TrialResult:
+              rng: np.random.Generator) -> TrialResult:
     """Synthesize one observation and estimate the pose from it.
 
-    ``snr_db = inf`` means noiseless.  ``structured=None`` picks the fast
-    pseudoinverse automatically when p_profiles is a multiple of n_ris.
-    Estimation failures are recorded in the result, not raised.
+    ``snr_db = inf`` means noiseless.  Recovery takes the fast structured
+    pseudoinverse when p_profiles is a multiple of n_ris.  Estimation
+    failures are recorded in the result, not raised.
     """
     a = ris_ue_channel(pose, cfg, mode)
     h = ris_bs_channel(cfg)
@@ -105,8 +104,7 @@ def run_trial(cfg: SystemConfig, pose: Pose, snr_db: float, mode: ChannelMode,
     hbar = khatri_rao(profiles, h)
     sigma = noise_sigma_for_snr(hbar, a, s, snr_db)
     y = observe(a, h, profiles, s, sigma, rng, hbar=hbar)
-    if structured is None:
-        structured = cfg.p_profiles % cfg.n_ris == 0
+    structured = cfg.p_profiles % cfg.n_ris == 0
     try:
         est = estimate_pose(y, hbar, s, cfg, structured=structured)
     except EstimationError as err:

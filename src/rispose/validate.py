@@ -2,27 +2,24 @@
 
 Each check is a pure function returning a CheckResult; ``run_validation``
 executes the whole suite on a small config so the CLI can verify the build
-in seconds.  The model-prediction functions can be swapped via keyword
-hooks, which lets tests confirm that a corrupted model actually trips the
-corresponding identity check.
+in seconds.  The acceptance tests call the same checks at their own
+dimensions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import (ChannelMode, khatri_rao, observe, pilot_matrix,
                       ris_bs_channel, ris_profiles, ris_ue_channel)
-from .estimator import (direction_shifts, direction_transform, distance_shift,
-                        distance_transform, estimate_pose_from_channel,
-                        orientation_shifts, orientation_transform, shift_pairs,
-                        tls_phase_ratio)
-from .geometry import (GridIndex, Pose, SystemConfig, flipped_index,
-                       linear_index, ris_element_grid)
+from .estimator import (_grid, direction_shifts, direction_transform,
+                        distance_shift, distance_transform,
+                        estimate_pose_from_channel, orientation_shifts,
+                        orientation_transform, tls_phase_ratio)
+from .geometry import Pose, SystemConfig, ris_element_grid
 from .montecarlo import run_trial
 from .recovery import measurement_pinv, recover_channel
 
@@ -54,55 +51,36 @@ def validation_pose() -> Pose:
 
 
 def check_flip_index(cfg: SystemConfig) -> CheckResult:
-    """Row reversal maps element (n, m) to (-n, -m)."""
-    worst = 0
-    for n in range(-cfg.nx_half, cfg.nx_half + 1):
-        for m in range(-cfg.ny_half, cfg.ny_half + 1):
-            direct = linear_index(GridIndex(-n, -m), cfg)
-            flipped = flipped_index(GridIndex(n, m), cfg)
-            worst = max(worst, abs(direct - flipped))
+    """Flipping the element grid on both axes maps element (n, m) to (-n, -m)."""
+    n, m = (_grid(idx, cfg) for idx in ris_element_grid(cfg))
+    worst = max(np.abs(n[::-1, ::-1] + n).max(), np.abs(m[::-1, ::-1] + m).max())
     return _result("flip-index identity", float(worst), 1)
 
 
-def check_distance_identity(cfg: SystemConfig, pose: Pose,
-                            shift_fn: Callable = distance_shift) -> CheckResult:
+def check_distance_identity(cfg: SystemConfig, pose: Pose) -> CheckResult:
     """Adjacent columns of the distance transform differ by the model ratio."""
     b = distance_transform(ris_ue_channel(pose, cfg, ChannelMode.FRESNEL))
-    worst = 0.0
-    for k in range(-cfg.k_half, cfg.k_half):
-        col = k + cfg.k_half
-        pred = shift_fn(k, pose.r, cfg)
-        worst = max(worst, float(np.abs(b[:, col + 1] - b[:, col] * pred).max()))
+    pred = np.array([distance_shift(k, pose.r, cfg) for k in range(-cfg.k_half, cfg.k_half)])
+    worst = float(np.abs(b[:, 1:] - b[:, :-1] * pred).max())
     return _result("distance shift identity", worst, TOL_IDENTITY)
 
 
-def check_direction_identity(cfg: SystemConfig, pose: Pose,
-                             shift_fn: Callable = direction_shifts) -> CheckResult:
+def check_direction_identity(cfg: SystemConfig, pose: Pose) -> CheckResult:
     """Row pairs of the direction transform carry the x/y direction ratios."""
-    c = direction_transform(ris_ue_channel(pose, cfg, ChannelMode.FRESNEL))
-    ex, ey = shift_fn(pose, cfg)
-    px, py = shift_pairs(cfg, "x"), shift_pairs(cfg, "y")
-    worst = max(
-        float(np.abs(c[px.shifted, :] - c[px.kept, :] * ex).max()),
-        float(np.abs(c[py.shifted, :] - c[py.kept, :] * ey).max()),
-    )
+    c = _grid(direction_transform(ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)), cfg)
+    ex, ey = direction_shifts(pose, cfg)
+    worst = max(float(np.abs(c[1:] - c[:-1] * ex).max()),
+                float(np.abs(c[:, 1:] - c[:, :-1] * ey).max()))
     return _result("direction shift identity", worst, TOL_IDENTITY)
 
 
-def check_orientation_identity(cfg: SystemConfig, pose: Pose,
-                               shift_fn: Callable = orientation_shifts) -> CheckResult:
+def check_orientation_identity(cfg: SystemConfig, pose: Pose) -> CheckResult:
     """Row pairs of the orientation transform carry the per-antenna ratios."""
-    d = orientation_transform(ris_ue_channel(pose, cfg, ChannelMode.FRESNEL))
-    px, py = shift_pairs(cfg, "x"), shift_pairs(cfg, "y")
-    worst = 0.0
-    for k in range(-cfg.k_half, cfg.k_half + 1):
-        col = k + cfg.k_half
-        gx, gy = shift_fn(pose, k, cfg)
-        worst = max(
-            worst,
-            float(np.abs(d[px.shifted, col] - d[px.kept, col] * gx).max()),
-            float(np.abs(d[py.shifted, col] - d[py.kept, col] * gy).max()),
-        )
+    d = _grid(orientation_transform(ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)), cfg)
+    gx, gy = np.array([orientation_shifts(pose, k, cfg)
+                       for k in cfg.antenna_offsets()]).T
+    worst = max(float(np.abs(d[1:] - d[:-1] * gx).max()),
+                float(np.abs(d[:, 1:] - d[:, :-1] * gy).max()))
     return _result("orientation shift identity", worst, TOL_IDENTITY)
 
 
@@ -125,9 +103,7 @@ def check_profile_orthogonality(cfg: SystemConfig) -> CheckResult:
     worst = 0.0
     for mult in (1, 2):
         p = mult * cfg.n_ris
-        phi = ris_profiles(SystemConfig(
-            m_bs=cfg.m_bs, k_ue=cfg.k_ue, n_x=cfg.n_x, n_y=cfg.n_y,
-            p_profiles=p, l_pilot=cfg.l_pilot))
+        phi = ris_profiles(replace(cfg, p_profiles=p))
         gram = phi.conj().T @ phi
         worst = max(worst, float(np.abs(gram - p * np.eye(cfg.n_ris)).max()))
     return _result("profile orthogonality", worst, TOL_IDENTITY)
@@ -199,19 +175,15 @@ def check_trial_determinism(cfg: SystemConfig, pose: Pose) -> CheckResult:
                        "bit-identical" if same else "results differ")
 
 
-def run_validation(seed: int = 7,
-                   distance_shift_fn: Callable = distance_shift,
-                   direction_shift_fn: Callable = direction_shifts,
-                   orientation_shift_fn: Callable = orientation_shifts,
-                   ) -> list[CheckResult]:
-    """Run every check on the validation config; hooks override the models."""
+def run_validation(seed: int = 7) -> list[CheckResult]:
+    """Run every check on the validation config."""
     cfg = validation_config()
     pose = validation_pose()
     return [
         check_flip_index(cfg),
-        check_distance_identity(cfg, pose, distance_shift_fn),
-        check_direction_identity(cfg, pose, direction_shift_fn),
-        check_orientation_identity(cfg, pose, orientation_shift_fn),
+        check_distance_identity(cfg, pose),
+        check_direction_identity(cfg, pose),
+        check_orientation_identity(cfg, pose),
         check_flip_symmetries(cfg, pose),
         check_profile_orthogonality(cfg),
         check_pilot_orthogonality(cfg),

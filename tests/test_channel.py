@@ -8,9 +8,20 @@ import pytest
 from rispose.channel import (ChannelMode, khatri_rao, noise_sigma_for_snr,
                              observe, pilot_matrix, ris_bs_channel,
                              ris_profiles, ris_ue_channel)
-from rispose.geometry import (Pose, SystemConfig, linear_index, GridIndex,
-                              ris_element_grid, ue_antenna_position,
+from rispose.geometry import (Pose, SystemConfig, ris_element_grid,
                               unit_direction)
+
+
+def center_row(cfg):
+    """Row of the center element (0, 0): the middle of the linear order."""
+    return cfg.n_ris // 2
+
+
+def antenna_position(pose, k, cfg):
+    """Position of user antenna k: r e + k d_u g."""
+    e = unit_direction(pose.theta, pose.phi)
+    g = unit_direction(pose.psi, pose.gamma)
+    return pose.r * e + k * cfg.d_u * g
 
 
 @pytest.fixture
@@ -38,7 +49,7 @@ def test_ris_ue_channel_shape_and_unit_modulus(cfg, pose):
 
 def test_ris_ue_channel_center_entry_is_one(cfg, pose):
     # reference path: center element to center antenna has zero excess phase
-    row = linear_index(GridIndex(0, 0), cfg) - 1
+    row = center_row(cfg)
     col = cfg.k_half
     for mode in ChannelMode:
         a = ris_ue_channel(pose, cfg, mode)
@@ -51,7 +62,7 @@ def test_exact_channel_matches_euclidean_distances(small, pose):
     for row in (0, 4, 7, 14):
         s = np.array([n_idx[row] * small.d_x, m_idx[row] * small.d_y, 0.0])
         for k in range(-small.k_half, small.k_half + 1):
-            q = ue_antenna_position(pose, k, small)
+            q = antenna_position(pose, k, small)
             expected = np.exp(-2j * np.pi
                               * (np.linalg.norm(q - s) - pose.r)
                               / small.wavelength)
@@ -92,7 +103,7 @@ def test_ris_bs_channel_rank_one_unit_modulus(cfg):
     sv = np.linalg.svd(h, compute_uv=False)
     assert sv[1] < 1e-10 * sv[0]
     # center antenna to center element: both steering phases vanish
-    center = (linear_index(GridIndex(0, 0), cfg) - 1)
+    center = center_row(cfg)
     assert h[(cfg.m_bs - 1) // 2, center] == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 
@@ -196,7 +207,7 @@ def test_channel_column_convention(cfg, pose):
     a = ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
     e = unit_direction(pose.theta, pose.phi)
     g = unit_direction(pose.psi, pose.gamma)
-    row = linear_index(GridIndex(0, 0), cfg) - 1  # center element, s = 0
+    row = center_row(cfg)  # s = 0
     for k in (-cfg.k_half, -1, 0, 2, cfg.k_half):
         excess = (k * cfg.d_u) ** 2 / (2 * pose.r) + k * cfg.d_u * (e @ g)
         expected = np.exp(-2j * np.pi * excess / cfg.wavelength)

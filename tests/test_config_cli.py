@@ -165,7 +165,7 @@ def test_cli_estimate_out_of_window_warns(compact_cfg_file, capsys):
 
 
 def test_cli_estimate_failure_exit_code(compact_cfg_file, capsys, monkeypatch):
-    def fake_trial(cfg, pose, snr_db, mode, rng, structured=None):
+    def fake_trial(cfg, pose, snr_db, mode, rng):
         return TrialResult(pose=pose, estimate=None,
                            squared_relative_error=None, failed=True,
                            stage="distance")
@@ -243,11 +243,12 @@ def test_validation_suite_all_green():
         [(r.name, r.detail) for r in results if not r.passed]
 
 
-def test_validation_catches_model_corruption():
+def test_validation_catches_model_corruption(monkeypatch):
     # a conjugated distance model flips every predicted phase; only the
     # distance identity check may trip
     corrupted = lambda k, r, cfg: complex(np.conj(distance_shift(k, r, cfg)))
-    results = run_validation(seed=7, distance_shift_fn=corrupted)
+    monkeypatch.setattr("rispose.validate.distance_shift", corrupted)
+    results = run_validation(seed=7)
     failed = [r.name for r in results if not r.passed]
     assert failed == ["distance shift identity"]
 

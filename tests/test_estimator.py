@@ -8,14 +8,13 @@ import pytest
 import rispose.estimator as est_mod
 from rispose.channel import ChannelMode, khatri_rao, pilot_matrix, \
     ris_bs_channel, ris_profiles, ris_ue_channel
-from rispose.estimator import (DegenerateGeometryError, EstimationError,
+from rispose.estimator import (EstimationError,
                                direction_shifts, direction_transform,
                                distance_shift, distance_transform,
                                estimate_direction, estimate_distance,
                                estimate_orientation, estimate_pose,
                                estimate_pose_from_channel, orientation_shifts,
-                               orientation_transform, shift_pairs,
-                               tls_phase_ratio)
+                               orientation_transform, tls_phase_ratio)
 from rispose.geometry import (Pose, SystemConfig, near_field_bounds,
                               ris_element_grid, sample_pose, unit_direction)
 
@@ -36,27 +35,26 @@ def fresnel(pose, cfg):
 
 
 # ---------------------------------------------------------------- shift pairs
+# Shift pairs are slices of the (n_x, n_y, K) grid view: g[:-1]/g[1:] along
+# x and g[:, :-1]/g[:, 1:] along y.  5 x 7 keeps the two axes apart.
 
-def test_shift_pairs_counts(cfg):
-    px = shift_pairs(cfg, "x")
-    py = shift_pairs(cfg, "y")
-    assert len(px.kept) == (cfg.n_x - 1) * cfg.n_y
-    assert len(py.kept) == cfg.n_x * (cfg.n_y - 1)
-    assert len(px.kept) == len(px.shifted)
-    assert len(py.kept) == len(py.shifted)
+@pytest.fixture
+def cfg_5x7():
+    return SystemConfig(n_x=5, n_y=7, p_profiles=35, k_ue=5, l_pilot=5)
 
 
-def test_shift_pairs_are_axis_neighbors():
-    cfg = SystemConfig(n_x=5, n_y=7, p_profiles=35, k_ue=5, l_pilot=5)
-    n_idx, m_idx = ris_element_grid(cfg)
-    px = shift_pairs(cfg, "x")
-    assert np.all(n_idx[px.shifted] == n_idx[px.kept] + 1)
-    assert np.all(m_idx[px.shifted] == m_idx[px.kept])
-    py = shift_pairs(cfg, "y")
-    assert np.all(m_idx[py.shifted] == m_idx[py.kept] + 1)
-    assert np.all(n_idx[py.shifted] == n_idx[py.kept])
-    with pytest.raises(ValueError):
-        shift_pairs(cfg, "z")
+def test_shift_pairs_counts(cfg_5x7):
+    g = est_mod._grid(np.arange(cfg_5x7.n_ris), cfg_5x7)
+    assert g[:-1].size == g[1:].size == (cfg_5x7.n_x - 1) * cfg_5x7.n_y
+    assert g[:, :-1].size == g[:, 1:].size == cfg_5x7.n_x * (cfg_5x7.n_y - 1)
+
+
+def test_shift_pairs_are_axis_neighbors(cfg_5x7):
+    n_idx, m_idx = (est_mod._grid(idx, cfg_5x7) for idx in ris_element_grid(cfg_5x7))
+    assert np.all(n_idx[1:] == n_idx[:-1] + 1)
+    assert np.all(m_idx[1:] == m_idx[:-1])
+    assert np.all(m_idx[:, 1:] == m_idx[:, :-1] + 1)
+    assert np.all(n_idx[:, 1:] == n_idx[:, :-1])
 
 
 # ----------------------------------------------------------------- transforms
@@ -91,9 +89,9 @@ def test_direction_transform_properties(cfg, pose):
     assert c[center_row, cfg.k_half] == pytest.approx(1.0 + 0.0j, abs=1e-12)
     # row pairs advance by the direction ratios in every column
     ex, ey = direction_shifts(pose, cfg)
-    px, py = shift_pairs(cfg, "x"), shift_pairs(cfg, "y")
-    np.testing.assert_allclose(c[px.shifted], c[px.kept] * ex, atol=1e-12)
-    np.testing.assert_allclose(c[py.shifted], c[py.kept] * ey, atol=1e-12)
+    g = est_mod._grid(c, cfg)
+    np.testing.assert_allclose(g[1:], g[:-1] * ex, atol=1e-12)
+    np.testing.assert_allclose(g[:, 1:], g[:, :-1] * ey, atol=1e-12)
 
 
 def test_direction_shifts_frozen_values(cfg):
@@ -113,14 +111,12 @@ def test_orientation_transform_properties(cfg, pose):
     np.testing.assert_allclose(d, np.conj(d[::-1, :]), atol=1e-12)
     # at the center antenna the two double-products coincide
     np.testing.assert_allclose(d[:, cfg.k_half], c[:, cfg.k_half], atol=1e-12)
-    px, py = shift_pairs(cfg, "x"), shift_pairs(cfg, "y")
+    g = est_mod._grid(d, cfg)
     for k in (-cfg.k_half, -1, 2, cfg.k_half):
         col = k + cfg.k_half
         gx, gy = orientation_shifts(pose, k, cfg)
-        np.testing.assert_allclose(d[px.shifted, col], d[px.kept, col] * gx,
-                                   atol=1e-12)
-        np.testing.assert_allclose(d[py.shifted, col], d[py.kept, col] * gy,
-                                   atol=1e-12)
+        np.testing.assert_allclose(g[1:, :, col], g[:-1, :, col] * gx, atol=1e-12)
+        np.testing.assert_allclose(g[:, 1:, col], g[:, :-1, col] * gy, atol=1e-12)
 
 
 # ------------------------------------------------------------------------ TLS
@@ -155,13 +151,53 @@ def test_tls_phase_ratio_perturbation_accuracy():
     assert worst < 5e-3
 
 
+def svd_ratio(u, v):
+    """Reference TLS ratio: -V12 / V22 of the stack's smallest right singular pair."""
+    _, _, vh = np.linalg.svd(np.column_stack((u, v)), full_matrices=False)
+    v12, v22 = np.conj(vh[-1])
+    return -v12 / v22 if abs(v22) >= 1e-12 else complex(np.nan, np.nan)
+
+
+def test_tls_phase_ratio_matches_svd_per_column():
+    rng = np.random.default_rng(23)
+    n, cols = 40, 12
+    u = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+    ratios = np.exp(1j * rng.uniform(-np.pi, np.pi, cols))
+    noise = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+    scale = np.logspace(-4, 0.5, cols)  # from nearly rank one to noise-dominated
+    v = u * ratios + scale * noise
+    # unequal column norms on both sides of |u| = |v|; |v| >> |u| needs the
+    # cancellation-free form of a - lmin
+    u[:, 3] *= 2.5
+    v[:, 7] *= 1e4
+    u[:, 5], v[:, 5] = 1e-15, 1.0  # null direction along u: no finite ratio
+    got = tls_phase_ratio(u, v)
+    expected = np.array([svd_ratio(u[:, j], v[:, j]) for j in range(cols)])
+    assert got.shape == (cols,)
+    assert np.isnan(got[5]) and np.isnan(expected[5])
+    ok = np.arange(cols) != 5
+    np.testing.assert_allclose(got[ok], expected[ok], rtol=1e-12)
+    # a single (n,) pair gives the same value as its column in the stack
+    single = tls_phase_ratio(u[:, 0], v[:, 0])
+    assert isinstance(single, complex)
+    assert single == pytest.approx(expected[0], rel=1e-12)
+
+
 def test_tls_phase_ratio_input_validation():
     with pytest.raises(ValueError):
         tls_phase_ratio(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
+        tls_phase_ratio(np.ones((3, 2)), np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        tls_phase_ratio(np.ones((3, 2, 2)), np.ones((3, 2, 2)))
+    with pytest.raises(ValueError):
         tls_phase_ratio(np.zeros(3), np.ones(3))
-    with pytest.raises(DegenerateGeometryError):
-        tls_phase_ratio(np.array([1e-15, 1e-15]), np.array([1.0, 1.0]))
+    stack = np.ones((3, 2))
+    stack[:, 1] = 0.0
+    with pytest.raises(ValueError):
+        tls_phase_ratio(np.ones((3, 2)), stack)
+    # degenerate fit: NaN, not an exception
+    assert np.isnan(tls_phase_ratio(np.array([1e-15, 1e-15]), np.array([1.0, 1.0])))
 
 
 # ----------------------------------------------------------------- estimators
@@ -211,6 +247,20 @@ def test_estimate_direction_noiseless(cfg, pose):
     assert ey == pytest.approx(true_ey, abs=1e-9)
 
 
+def test_estimate_direction_skips_column_in_both_means(cfg, pose):
+    # one column is negligible except for its last y-row: its y-fit cannot
+    # identify a ratio while its x-fit returns a finite, wrong one, so the
+    # column must drop out of both averages
+    c = direction_transform(fresnel(pose, cfg))
+    _, m_idx = ris_element_grid(cfg)
+    c[:, 2] *= 1e-15
+    c[m_idx == cfg.ny_half, 2] = 1.0
+    _, _, ex, _, diag = estimate_direction(c, cfg)
+    true_ex, _ = direction_shifts(pose, cfg)
+    assert ex == pytest.approx(true_ex, abs=1e-12)
+    assert diag["direction_skipped_cols"] == 1
+
+
 def test_estimate_direction_broadside_azimuth_exact(cfg):
     # azimuth 90 degrees zeroes the x-phase; two-argument arctangent keeps
     # the quadrant exactly
@@ -239,6 +289,16 @@ def test_estimate_orientation_noiseless(cfg, pose):
     assert psi == pytest.approx(pose.psi, abs=1e-6)
     assert gamma == pytest.approx(pose.gamma, abs=1e-6)
     assert diag["gamma_cos_arg_max"] <= 1.0 + 1e-12
+    assert diag["orientation_skipped"] == 0
+    # an antenna whose y-fit cannot identify a ratio is skipped and counted
+    _, m_idx = ris_element_grid(cfg)
+    d[:, 0] *= 1e-15
+    d[m_idx == cfg.ny_half, 0] = 1.0
+    psi, gamma, diag = estimate_orientation(d, ex, ey, pose.r, cfg)
+    assert psi == pytest.approx(pose.psi, abs=1e-6)
+    assert gamma == pytest.approx(pose.gamma, abs=1e-6)
+    assert diag["orientation_skipped"] == 1
+    assert math.isnan(diag["gamma_per_k"][0])
 
 
 def test_estimate_orientation_sign_symmetry(cfg, pose):
@@ -269,8 +329,9 @@ def test_estimate_orientation_flat_limit(cfg, pose):
 
 def test_estimate_orientation_all_zero_phases_fail(cfg, pose, monkeypatch):
     ex, ey = direction_shifts(pose, cfg)
+    # every column's x and y ratios collapse to ex
     monkeypatch.setattr(est_mod, "tls_phase_ratio",
-                        lambda u, v: ex)  # x and y ratios collapse to ex
+                        lambda u, v: np.full(u.shape[1], ex))
     d = np.ones((cfg.n_ris, cfg.k_ue), dtype=complex)
     with pytest.raises(EstimationError) as exc:
         estimate_orientation(d, ex, ex, pose.r, cfg)

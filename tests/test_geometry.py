@@ -1,14 +1,12 @@
-"""Geometry: index maps, positions, near-field bounds, pose sampling."""
+"""Geometry: element grid, near-field bounds, pose sampling."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rispose.geometry import (GridIndex, Pose, SystemConfig, flipped_index,
-                              linear_index, near_field_bounds, ris_element_grid,
-                              ris_element_position, sample_pose,
-                              ue_antenna_position, unit_direction)
+from rispose.geometry import (Pose, SystemConfig, near_field_bounds,
+                              ris_element_grid, sample_pose, unit_direction)
 
 
 @pytest.fixture
@@ -33,55 +31,32 @@ def test_unit_direction_is_unit_norm():
 
 
 def test_linear_index_corners_and_center(cfg):
-    assert linear_index(GridIndex(0, 0), cfg) == 61
-    assert linear_index(GridIndex(-5, -5), cfg) == 1
-    assert linear_index(GridIndex(5, 5), cfg) == 121
-    assert linear_index(GridIndex(-5, 5), cfg) == 11
-
-
-def test_linear_index_matches_element_grid(cfg):
+    # 0-based row of element (n, m) in the linear (x-major) order
     n_idx, m_idx = ris_element_grid(cfg)
-    for row, (n, m) in enumerate(zip(n_idx, m_idx)):
-        assert linear_index(GridIndex(int(n), int(m)), cfg) == row + 1
+    assert (n_idx[60], m_idx[60]) == (0, 0)
+    assert (n_idx[0], m_idx[0]) == (-5, -5)
+    assert (n_idx[120], m_idx[120]) == (5, 5)
+    assert (n_idx[10], m_idx[10]) == (-5, 5)
 
 
-def test_flipped_index_mirrors_through_center(cfg):
-    for n in range(-cfg.nx_half, cfg.nx_half + 1):
-        for m in range(-cfg.ny_half, cfg.ny_half + 1):
-            g = GridIndex(n, m)
-            assert flipped_index(g, cfg) == linear_index(GridIndex(-n, -m), cfg)
-            # applying the mirror twice returns the original row
-            assert cfg.n_ris - flipped_index(g, cfg) + 1 == linear_index(g, cfg)
+def test_linear_index_matches_element_grid():
+    cfg = SystemConfig(n_x=5, n_y=7, p_profiles=35, k_ue=5, l_pilot=5)
+    n_idx, m_idx = ris_element_grid(cfg)
+    rows = (n_idx + cfg.nx_half) * cfg.n_y + (m_idx + cfg.ny_half)
+    np.testing.assert_array_equal(rows, np.arange(cfg.n_ris))
 
 
-def test_index_out_of_range_rejected(cfg):
-    with pytest.raises(ValueError):
-        linear_index(GridIndex(6, 0), cfg)
-    with pytest.raises(ValueError):
-        ris_element_position(GridIndex(0, -6), cfg)
-
-
-def test_ris_element_position(cfg):
-    np.testing.assert_allclose(ris_element_position(GridIndex(1, 2), cfg),
-                               [0.0825, 0.165, 0.0], atol=1e-15)
-    np.testing.assert_allclose(ris_element_position(GridIndex(0, 0), cfg),
-                               [0.0, 0.0, 0.0])
-
-
-def test_ue_antenna_positions_centered_on_pose(cfg):
-    pose = Pose(r=2.5, theta=math.radians(70), phi=math.radians(30),
-                psi=math.radians(110), gamma=math.radians(45))
-    center = ue_antenna_position(pose, 0, cfg)
-    np.testing.assert_allclose(
-        center, 2.5 * unit_direction(pose.theta, pose.phi), atol=1e-15)
-    # antenna pairs are centrosymmetric about the reference antenna
-    for k in range(1, cfg.k_half + 1):
-        qp = ue_antenna_position(pose, k, cfg)
-        qm = ue_antenna_position(pose, -k, cfg)
-        np.testing.assert_allclose((qp + qm) / 2, center, atol=1e-14)
-        assert np.linalg.norm(qp - center) == pytest.approx(k * cfg.d_u, abs=1e-12)
-    with pytest.raises(ValueError):
-        ue_antenna_position(pose, cfg.k_half + 1, cfg)
+def test_flipped_index_mirrors_through_center():
+    cfg = SystemConfig(n_x=5, n_y=7, p_profiles=35, k_ue=5, l_pilot=5)
+    n_idx, m_idx = ris_element_grid(cfg)
+    n_grid = n_idx.reshape(cfg.n_x, cfg.n_y)
+    m_grid = m_idx.reshape(cfg.n_x, cfg.n_y)
+    # flipping the grid on both axes maps (n, m) to (-n, -m) ...
+    np.testing.assert_array_equal(n_grid[::-1, ::-1], -n_grid)
+    np.testing.assert_array_equal(m_grid[::-1, ::-1], -m_grid)
+    # ... and is the same as reversing the linear row order
+    np.testing.assert_array_equal(n_grid[::-1, ::-1].ravel(), n_idx[::-1])
+    np.testing.assert_array_equal(m_grid[::-1, ::-1].ravel(), m_idx[::-1])
 
 
 def test_near_field_bounds_default_array(cfg):
