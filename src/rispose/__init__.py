@@ -8,9 +8,8 @@ bundles the synthetic channel model, the estimator, and a seeded Monte
 Carlo NMSE benchmark harness with a small CLI.
 """
 
-from .channel import (ChannelMode, khatri_rao, noise_sigma_for_snr, observe,
-                      pilot_matrix, ris_bs_channel, ris_profiles,
-                      ris_ue_channel)
+from .channel import (ChannelMode, observe, pilot_matrix, ris_bs_channel,
+                      ris_profiles, ris_ue_channel)
 from .config import ConfigError, RunConfig, load_config, parse_config, serialize_config
 from .estimator import (DegenerateGeometryError, EstimationError, PoseEstimate,
                         direction_transform, distance_transform,
@@ -22,7 +21,7 @@ from .geometry import (Pose, SystemConfig, near_field_bounds, ris_element_grid,
                        sample_pose, unit_direction)
 from .montecarlo import (NmseRow, NmseTable, TrialResult, pose_seed, run_sweep,
                          run_trial, trial_seed)
-from .recovery import RecoveredChannel, measurement_pinv, recover_channel
+from .recovery import RecoveredChannel, recover_channel
 from .validate import CheckResult, run_validation
 
 __version__ = "0.1.0"
@@ -33,8 +32,7 @@ __all__ = [
     "RecoveredChannel", "RunConfig", "SystemConfig", "TrialResult",
     "direction_transform", "distance_transform", "estimate_direction",
     "estimate_distance", "estimate_orientation", "estimate_pose",
-    "estimate_pose_from_channel", "khatri_rao", "load_config",
-    "measurement_pinv", "near_field_bounds", "noise_sigma_for_snr", "observe",
+    "estimate_pose_from_channel", "load_config", "near_field_bounds", "observe",
     "orientation_transform", "parse_config", "pilot_matrix", "pose_seed",
     "recover_channel", "ris_bs_channel", "ris_element_grid", "ris_profiles",
     "ris_ue_channel", "run_sweep", "run_trial", "run_validation", "sample_pose",

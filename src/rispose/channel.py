@@ -52,7 +52,8 @@ def ris_ue_channel(pose: Pose, cfg: SystemConfig,
         # q_k: (K, 3) antenna positions; s: (N, 3) element positions
         q = pose.r * e[None, :] + (k * cfg.d_u)[:, None] * g[None, :]
         s = np.stack([sx, sy, np.zeros_like(sx)], axis=1)
-        dist = np.linalg.norm(q[None, :, :] - s[:, None, :], axis=2)
+        diff = q[None, :, :] - s[:, None, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
         excess = dist - pose.r
     elif mode is ChannelMode.FRESNEL:
         ku = k * cfg.d_u  # (K,)
@@ -77,28 +78,30 @@ def _steering(count: int, zeta: float, wavelength: float) -> np.ndarray:
     return np.exp(2j * np.pi * t * zeta / wavelength)
 
 
-def ris_bs_channel(cfg: SystemConfig) -> np.ndarray:
-    """Static far-field RIS-BS channel, shape (m_bs, n_ris), rank one.
+def ris_bs_channel(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(h_b, h_r)`` of the static far-field RIS-BS channel.
 
-    Outer product of the BS steering vector and the conjugated RIS steering
+    The channel is the rank-one ``np.outer(h_b, h_r.conj())``, shape
+    (m_bs, n_ris): the BS steering vector times the conjugated RIS steering
     vector (x-axis response Kronecker y-axis response, matching the linear
-    element order).
+    element order).  Both factors have unit-modulus entries.
     """
     h_b = _steering(cfg.m_bs, cfg.d_b * math.sin(cfg.theta_bs), cfg.wavelength)
     h_rx = _steering(cfg.n_x, cfg.d_x * math.cos(cfg.theta_ris) * math.cos(cfg.phi_ris),
                      cfg.wavelength)
     h_ry = _steering(cfg.n_y, cfg.d_y * math.sin(cfg.theta_ris) * math.cos(cfg.phi_ris),
                      cfg.wavelength)
-    return np.outer(h_b, np.conj(np.kron(h_rx, h_ry)))
+    return h_b, np.kron(h_rx, h_ry)
 
 
 def ris_profiles(cfg: SystemConfig) -> np.ndarray:
     """RIS phase profiles, one per row, shape (p_profiles, n_ris).
 
-    DFT-style rows ``exp(-j 2 pi p i / n_ris)``.  When p_profiles is a
-    multiple of n_ris the profile matrix satisfies
-    ``profiles^H profiles = p_profiles * I``, which makes the measurement
-    pseudoinverse a plain scaled conjugate transpose.
+    DFT-style rows ``exp(-j 2 pi p i / n_ris)``: profile p is row
+    ``p mod n_ris`` of the n_ris-point DFT matrix.  ``observe`` and
+    ``recover_channel`` use that structure through FFTs; this matrix is the
+    explicit form the validation suite checks them against.  When
+    p_profiles is a multiple of n_ris, ``profiles^H profiles = p_profiles * I``.
     """
     p = np.arange(cfg.p_profiles)[:, None]
     i = np.arange(cfg.n_ris)[None, :]
@@ -121,49 +124,32 @@ def pilot_matrix(cfg: SystemConfig) -> np.ndarray:
     return scale * np.exp(-2j * np.pi * a * b / cfg.l_pilot)
 
 
-def khatri_rao(profiles: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product, shape (m_bs * p_profiles, n_ris).
-
-    Block p (size m_bs) equals ``h @ diag(profiles[p, :])``: the effective
-    BS-side mixing for sounding profile p.
-    """
-    p_cnt, n = profiles.shape
-    m, n2 = h.shape
-    if n != n2:
-        raise ValueError(f"column mismatch: profiles has {n}, h has {n2}")
-    out = profiles[:, None, :] * h[None, :, :]
-    return out.reshape(p_cnt * m, n)
-
-
-def noise_sigma_for_snr(hbar: np.ndarray, a: np.ndarray, s: np.ndarray,
-                        snr_db: float) -> float:
-    """Per-entry complex noise std for a target receive SNR in dB.
-
-    SNR is mean received signal power over noise power per entry:
-    ``||hbar @ a @ s||_F^2 / (entries * sigma^2)``.  Infinite SNR maps to 0.
-    """
-    if math.isinf(snr_db) and snr_db > 0:
-        return 0.0
-    signal = hbar @ a @ s
-    mean_power = np.sum(np.abs(signal) ** 2) / signal.size
-    return math.sqrt(mean_power / 10.0 ** (snr_db / 10.0))
-
-
-def observe(a: np.ndarray, h: np.ndarray, profiles: np.ndarray, s: np.ndarray,
-            sigma: float, rng: np.random.Generator,
-            hbar: np.ndarray | None = None) -> np.ndarray:
+def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
+            rng: np.random.Generator) -> np.ndarray:
     """Stacked noisy sounding observation, shape (m_bs * p_profiles, l_pilot).
 
-    Computes ``khatri_rao(profiles, h) @ a @ s`` plus circular complex
-    Gaussian noise with per-entry variance ``sigma**2``.  The generator is
-    not consumed when sigma is zero, so noiseless runs leave the stream
-    untouched.
+    Block p (m_bs rows) is ``h @ diag(profiles[p]) @ a @ s`` for the RIS-BS
+    channel ``h``, ``profiles = ris_profiles(cfg)`` and ``s = pilot_matrix(cfg)``.
+    Profile p is DFT row ``p mod n_ris``, so each block is ``h_b`` times a row
+    of an FFT over the element axis; the dense measurement matrix is never
+    formed.
+
+    Circular complex Gaussian noise is added at the receive SNR ``snr_db``:
+    mean signal power per entry over the per-entry noise variance.
+    ``snr_db = inf`` is noiseless and leaves the generator untouched.
+
+    Raises:
+        ValueError: if ``snr_db`` is NaN or -inf.
     """
-    if hbar is None:
-        hbar = khatri_rao(profiles, h)
-    y = hbar @ a @ s
-    if sigma > 0:
-        scale = sigma / math.sqrt(2.0)
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number above -inf, got {snr_db!r}")
+    h_b, h_r = ris_bs_channel(cfg)
+    t = np.fft.fft(h_r.conj()[:, None] * (a @ pilot_matrix(cfg)), axis=0)
+    t = t[np.arange(cfg.p_profiles) % cfg.n_ris]
+    y = (h_b[None, :, None] * t[:, None, :]).reshape(-1, t.shape[1])
+    # per-entry noise std, split evenly over the real and imaginary parts
+    scale = math.sqrt(np.vdot(y, y).real / (2 * y.size)) * 10.0 ** (-snr_db / 20.0)
+    if scale > 0:
         noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
         y = y + scale * noise
     return y

@@ -78,6 +78,11 @@ class RunConfig:
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be nonnegative, got "
                               f"{self.master_seed}")
+        # +inf is the noiseless setting; NaN and -inf have no noise level
+        for value in (self.snr_db, *self.sweep_snr_db):
+            if math.isnan(value) or value == -math.inf:
+                raise ConfigError(f"snr_db values must be numbers above -inf, "
+                                  f"got {value!r}")
         try:
             self.system()  # validate SystemConfig invariants eagerly
         except ValueError as err:

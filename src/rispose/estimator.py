@@ -337,25 +337,18 @@ def estimate_pose_from_channel(a: np.ndarray, cfg: SystemConfig) -> PoseEstimate
     )
 
 
-def estimate_pose(y: np.ndarray, hbar: np.ndarray, s: np.ndarray,
-                  cfg: SystemConfig, structured: bool = False) -> PoseEstimate:
+def estimate_pose(y: np.ndarray, cfg: SystemConfig) -> PoseEstimate:
     """Recover the channel from an observation and estimate the full pose.
 
-    Chains channel recovery (left/right pseudoinverses of the measurement
-    matrix and pilot block) with distance, direction, and orientation
-    estimation.
+    Chains closed-form channel recovery (``recover_channel``) with
+    distance, direction, and orientation estimation.
 
     Args:
         y: stacked observation, shape (m_bs * p_profiles, l_pilot).
-        hbar: stacked measurement matrix, shape (m_bs * p_profiles, n_ris).
-        s: pilot block, shape (k_ue, l_pilot).
         cfg: system parameters.
-        structured: use the scaled-adjoint pseudoinverse shortcut (valid when
-            p_profiles is a multiple of n_ris).
 
     Raises:
         EstimationError: if any estimation stage fails.
-        ValueError: on shape mismatch or a rank-deficient measurement matrix.
+        ValueError: on an observation of the wrong shape.
     """
-    rec = recover_channel(y, hbar, s, structured=structured)
-    return estimate_pose_from_channel(rec.matrix, cfg)
+    return estimate_pose_from_channel(recover_channel(y, cfg).matrix, cfg)

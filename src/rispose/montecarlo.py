@@ -12,9 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (ChannelMode, khatri_rao, noise_sigma_for_snr, observe,
-                      pilot_matrix, ris_bs_channel, ris_profiles,
-                      ris_ue_channel)
+from .channel import ChannelMode, observe, ris_ue_channel
 from .estimator import EstimationError, PoseEstimate, estimate_pose
 from .geometry import Pose, SystemConfig, sample_pose
 
@@ -93,20 +91,14 @@ def run_trial(cfg: SystemConfig, pose: Pose, snr_db: float, mode: ChannelMode,
               rng: np.random.Generator) -> TrialResult:
     """Synthesize one observation and estimate the pose from it.
 
-    ``snr_db = inf`` means noiseless.  Recovery takes the fast structured
-    pseudoinverse when p_profiles is a multiple of n_ris.  Estimation
-    failures are recorded in the result, not raised.
+    ``snr_db = inf`` means noiseless.  The observation comes from
+    ``observe`` and the channel is recovered by the closed-form
+    least-squares inverse, one code path for every profile count P >= N.
+    Estimation failures are recorded in the result, not raised.
     """
-    a = ris_ue_channel(pose, cfg, mode)
-    h = ris_bs_channel(cfg)
-    profiles = ris_profiles(cfg)
-    s = pilot_matrix(cfg)
-    hbar = khatri_rao(profiles, h)
-    sigma = noise_sigma_for_snr(hbar, a, s, snr_db)
-    y = observe(a, h, profiles, s, sigma, rng, hbar=hbar)
-    structured = cfg.p_profiles % cfg.n_ris == 0
+    y = observe(ris_ue_channel(pose, cfg, mode), cfg, snr_db, rng)
     try:
-        est = estimate_pose(y, hbar, s, cfg, structured=structured)
+        est = estimate_pose(y, cfg)
     except EstimationError as err:
         return TrialResult(pose=pose, estimate=None, squared_relative_error=None,
                            failed=True, stage=err.stage)

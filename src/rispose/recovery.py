@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-_RANK_TOL = 1e-12
+from .channel import pilot_matrix, ris_bs_channel
+from .geometry import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -16,51 +18,45 @@ class RecoveredChannel:
     Attributes:
         matrix: recovered (n_ris, k_ue) channel, equal to the true channel
             plus transformed noise.
-        structured: whether the scaled-adjoint shortcut was used.
         residual_noise_scale: per-entry std of the post-recovery noise as a
             multiple of the observation noise std (Frobenius-average gain of
             the two-sided pseudoinverse).
     """
 
     matrix: np.ndarray
-    structured: bool
     residual_noise_scale: float
 
 
-def measurement_pinv(hbar: np.ndarray, structured: bool = False) -> np.ndarray:
-    """Left pseudoinverse of the stacked measurement matrix.
+def recover_channel(y: np.ndarray, cfg: SystemConfig) -> RecoveredChannel:
+    """Least-squares inverse of the sounding in ``observe``, for any P >= N.
 
-    With DFT profiles and p_profiles a multiple of n_ris, the columns of
-    ``hbar`` are orthogonal with squared norm ``rows``; ``structured=True``
-    exploits that and returns ``hbar^H / rows`` without an SVD.  The generic
-    path raises ValueError if ``hbar`` is (numerically) rank deficient.
+    The RIS-BS link is ``np.outer(h_b, h_r.conj())`` with unit-modulus
+    factors and profile p is DFT row ``p mod n_ris``, so the Gram matrix of
+    the stacked measurement matrix is ``M diag(h_r) C diag(h_r)^H`` with C
+    circulant, which the DFT diagonalises.  The exact left pseudoinverse is
+    therefore: project each block onto ``h_b`` (``w_p = h_b^H y_p / M``),
+    average the w_p that share a residue ``p mod n_ris``, inverse-FFT over
+    the element axis and multiply by ``h_r``.  The orthogonal pilots invert
+    as ``s^H K / power``.
+
+    Noiseless observations recover the channel to machine precision; with
+    noise the estimate is channel plus colored noise whose average gain is
+    reported in ``residual_noise_scale``.
+
+    Raises:
+        ValueError: if ``y`` is not (m_bs * p_profiles, l_pilot).
     """
-    rows, cols = hbar.shape
-    if rows < cols:
-        raise ValueError(f"need at least as many rows as columns ({rows} < {cols})")
-    if structured:
-        return hbar.conj().T / rows
-    u, sv, vh = np.linalg.svd(hbar, full_matrices=False)
-    if sv[-1] <= _RANK_TOL * sv[0]:
-        raise ValueError(
-            f"measurement matrix is rank deficient "
-            f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.3e})"
-        )
-    return (vh.conj().T / sv) @ u.conj().T
-
-
-def recover_channel(y: np.ndarray, hbar: np.ndarray, s: np.ndarray,
-                    structured: bool = False) -> RecoveredChannel:
-    """Invert the sounding equation ``y = hbar @ a @ s`` for the channel a.
-
-    Applies the left pseudoinverse of ``hbar`` and the right pseudoinverse
-    of the pilot block ``s``.  Noiseless observations recover the channel to
-    machine precision; with noise the estimate is channel plus colored noise
-    whose average gain is reported in ``residual_noise_scale``.
-    """
-    left = measurement_pinv(hbar, structured=structured)
-    right = np.linalg.pinv(s)
-    gain = float(np.linalg.norm(left) * np.linalg.norm(right)
-                 / np.sqrt(left.shape[0] * right.shape[1]))
-    return RecoveredChannel(matrix=left @ y @ right, structured=structured,
+    shape = (cfg.m_bs * cfg.p_profiles, cfg.l_pilot)
+    if y.shape != shape:
+        raise ValueError(f"expected observation shape {shape}, got {y.shape}")
+    h_b, h_r = ris_bs_channel(cfg)
+    w = h_b.conj() @ y.reshape(cfg.p_profiles, cfg.m_bs, cfg.l_pilot) / cfg.m_bs
+    residue = np.arange(cfg.p_profiles) % cfg.n_ris
+    counts = np.bincount(residue, minlength=cfg.n_ris)
+    folded = np.zeros((cfg.n_ris, cfg.l_pilot), dtype=complex)
+    np.add.at(folded, residue, w)
+    x = h_r[:, None] * np.fft.ifft(folded / counts[:, None], axis=0)
+    pilot_gain = cfg.k_ue / cfg.power_w
+    gain = math.sqrt(pilot_gain / (cfg.m_bs * cfg.n_ris ** 2) * np.sum(1.0 / counts))
+    return RecoveredChannel(matrix=x @ (pilot_matrix(cfg).conj().T * pilot_gain),
                             residual_noise_scale=gain)

@@ -1,15 +1,16 @@
 """Channel synthesis: RIS-UE link, static links, sounding, pilots, noise."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rispose.channel import (ChannelMode, khatri_rao, noise_sigma_for_snr,
-                             observe, pilot_matrix, ris_bs_channel,
-                             ris_profiles, ris_ue_channel)
+from rispose.channel import (ChannelMode, observe, pilot_matrix,
+                             ris_bs_channel, ris_profiles, ris_ue_channel)
 from rispose.geometry import (Pose, SystemConfig, ris_element_grid,
                               unit_direction)
+from rispose.validate import dense_measurement_matrix
 
 
 def center_row(cfg):
@@ -97,8 +98,9 @@ def test_fresnel_error_shrinks_with_range(cfg):
 
 
 def test_ris_bs_channel_rank_one_unit_modulus(cfg):
-    h = ris_bs_channel(cfg)
-    assert h.shape == (cfg.m_bs, cfg.n_ris)
+    h_b, h_r = ris_bs_channel(cfg)
+    assert h_b.shape == (cfg.m_bs,) and h_r.shape == (cfg.n_ris,)
+    h = np.outer(h_b, h_r.conj())
     np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)
     sv = np.linalg.svd(h, compute_uv=False)
     assert sv[1] < 1e-10 * sv[0]
@@ -137,68 +139,69 @@ def test_pilot_matrix_frozen_entries():
                                     abs=1e-14)
 
 
-def test_khatri_rao_frozen_example():
-    profiles = np.array([[1.0, 1.0], [1.0, -1.0]])
-    h = np.array([[2.0, 3.0]])
-    np.testing.assert_allclose(khatri_rao(profiles, h),
-                               [[2.0, 3.0], [2.0, -3.0]])
+def test_observe_block_structure(small, pose):
+    # block p of the dense oracle is h diag(profiles[p]); observe matches
+    # the oracle product also when P is not a multiple of N
+    a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
+    for p_count in (small.n_ris, small.n_ris + 2, 2 * small.n_ris - 1):
+        c = replace(small, p_profiles=p_count)
+        h_b, h_r = ris_bs_channel(c)
+        profiles = ris_profiles(c)
+        hbar = dense_measurement_matrix(c)
+        assert hbar.shape == (c.m_bs * p_count, c.n_ris)
+        for p in (0, 3, p_count - 1):
+            block = hbar[p * c.m_bs:(p + 1) * c.m_bs]
+            np.testing.assert_allclose(
+                block, np.outer(h_b, h_r.conj()) * profiles[p][None, :], atol=1e-15)
+        y = observe(a, c, math.inf, np.random.default_rng(0))
+        np.testing.assert_allclose(y, hbar @ a @ pilot_matrix(c), atol=1e-12)
 
 
-def test_khatri_rao_block_structure(small):
-    h = ris_bs_channel(small)
-    profiles = ris_profiles(small)
-    hbar = khatri_rao(profiles, h)
-    assert hbar.shape == (small.m_bs * small.p_profiles, small.n_ris)
-    for p in (0, 3, small.p_profiles - 1):
-        block = hbar[p * small.m_bs:(p + 1) * small.m_bs]
-        np.testing.assert_allclose(block, h * profiles[p][None, :], atol=1e-15)
+def test_observe_snr_levels(small, pose):
+    # SNR is mean signal power per entry over the per-entry noise variance;
+    # the noise is standard_normal(y.shape), real part then imaginary part
+    a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
+    clean = observe(a, small, math.inf, np.random.default_rng(0))
+    mean_power = np.mean(np.abs(clean) ** 2)
+    for snr_db in (0.0, 10.0, -3.5):
+        y = observe(a, small, snr_db, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        draw = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+        sigma = math.sqrt(mean_power / 10.0 ** (snr_db / 10.0))
+        np.testing.assert_allclose(y - clean, sigma / math.sqrt(2.0) * draw,
+                                   rtol=1e-12, atol=1e-12)
 
 
-def test_khatri_rao_column_mismatch_rejected():
-    with pytest.raises(ValueError):
-        khatri_rao(np.ones((2, 3)), np.ones((2, 4)))
-
-
-def test_noise_sigma_for_snr_levels():
-    hbar = np.eye(2, dtype=complex)
-    a = np.eye(2, dtype=complex)
-    s = np.eye(2, dtype=complex)
-    # signal is the 2x2 identity: mean power per entry = 2/4
-    assert noise_sigma_for_snr(hbar, a, s, 0.0) == pytest.approx(math.sqrt(0.5))
-    assert noise_sigma_for_snr(hbar, a, s, 10.0) == pytest.approx(
-        math.sqrt(0.05))
-    assert noise_sigma_for_snr(hbar, a, s, float("inf")) == 0.0
+def test_observe_rejects_undefined_snr(small, pose):
+    a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
+    for snr_db in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="snr_db"):
+            observe(a, small, snr_db, np.random.default_rng(0))
 
 
 def test_observe_noiseless_leaves_rng_untouched(small, pose):
     a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
-    h = ris_bs_channel(small)
-    profiles = ris_profiles(small)
-    s = pilot_matrix(small)
     rng = np.random.default_rng(99)
-    y = observe(a, h, profiles, s, 0.0, rng)
-    np.testing.assert_allclose(y, khatri_rao(profiles, h) @ a @ s, atol=1e-12)
+    y = observe(a, small, math.inf, rng)
+    np.testing.assert_allclose(y, dense_measurement_matrix(small) @ a
+                               @ pilot_matrix(small), atol=1e-12)
     # the stream was not consumed
     assert rng.standard_normal() == np.random.default_rng(99).standard_normal()
 
 
 def test_observe_noise_statistics(small, pose):
     a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
-    h = ris_bs_channel(small)
-    profiles = ris_profiles(small)
-    s = pilot_matrix(small)
-    hbar = khatri_rao(profiles, h)
-    clean = hbar @ a @ s
-    sigma = 0.5
+    clean = observe(a, small, math.inf, np.random.default_rng(0))
+    snr_db = 6.0
+    sigma = math.sqrt(np.mean(np.abs(clean) ** 2) / 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(1234)
     noise = np.concatenate([
-        (observe(a, h, profiles, s, sigma, rng, hbar=hbar) - clean).ravel()
-        for _ in range(40)])
+        (observe(a, small, snr_db, rng) - clean).ravel() for _ in range(40)])
     assert np.var(noise) == pytest.approx(sigma ** 2, rel=0.05)
-    assert abs(np.mean(noise)) < 0.01
+    assert abs(np.mean(noise)) < 5 * sigma / math.sqrt(noise.size)
     # seeded observation is reproducible
-    y1 = observe(a, h, profiles, s, sigma, np.random.default_rng(7))
-    y2 = observe(a, h, profiles, s, sigma, np.random.default_rng(7))
+    y1 = observe(a, small, snr_db, np.random.default_rng(7))
+    y2 = observe(a, small, snr_db, np.random.default_rng(7))
     np.testing.assert_array_equal(y1, y2)
 
 

@@ -109,6 +109,12 @@ def test_invalid_settings_rejected():
         parse_config("master_seed = -1\n")
     with pytest.raises(ConfigError):
         parse_config("k = 4\n")  # UE antenna count must be odd
+    # NaN and -inf define no noise level; +inf stays the noiseless setting
+    for text in ("snr_db = nan\n", "snr_db = -inf\n",
+                 "sweep_snr_db = 0, nan\n", "sweep_snr_db = -inf, 10\n"):
+        with pytest.raises(ConfigError, match="snr_db"):
+            parse_config(text)
+    assert parse_config("snr_db = inf\n").snr_db == math.inf
 
 
 def test_system_unit_conversion():
@@ -188,6 +194,8 @@ def test_cli_estimate_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["estimate", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert main(["estimate", "--pose", "1,2,3"]) == 2  # wrong arity
     assert main(["estimate", "--pose", "2.5,70,0,110,45"]) == 2  # phi = 0
+    assert main(["estimate", "--snr-db", "nan"]) == 2
+    assert main(["estimate", "--snr-db=-inf"]) == 2
     capsys.readouterr()
 
 
@@ -223,6 +231,20 @@ def test_cli_sweep_json_format(tmp_path, capsys):
 def test_cli_sweep_without_axis_exit_2(compact_cfg_file, capsys):
     assert main(["sweep", "--config", compact_cfg_file]) == 0 + 2
     assert "no sweep axis" in capsys.readouterr().err
+
+
+def test_cli_sweep_undefined_snr_exit_2(tmp_path, capsys):
+    # a -inf grid point used to abort the whole sweep with a ValueError, and
+    # a NaN operating SNR ran noiseless
+    out = f"trials = 1\nout = {tmp_path / 'out.csv'}\n"
+    snr_axis = tmp_path / "snr.cfg"
+    snr_axis.write_text(COMPACT + "sweep_snr_db = 10, -inf\n" + out)
+    assert main(["sweep", "--config", str(snr_axis)]) == 2
+    k_axis = tmp_path / "k.cfg"
+    k_axis.write_text(COMPACT + "sweep_k = 5\n" + out)
+    assert main(["sweep", "--config", str(k_axis), "--snr-db", "nan"]) == 2
+    assert capsys.readouterr().err.count("snr_db") == 2
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_sweep_unwritable_output_exit_3(tmp_path, capsys):

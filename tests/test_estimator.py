@@ -1,13 +1,13 @@
 """Estimator: transforms, TLS ratios, per-stage and end-to-end estimation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rispose.estimator as est_mod
-from rispose.channel import ChannelMode, khatri_rao, pilot_matrix, \
-    ris_bs_channel, ris_profiles, ris_ue_channel
+from rispose.channel import ChannelMode, observe, ris_ue_channel
 from rispose.estimator import (EstimationError,
                                direction_shifts, direction_transform,
                                distance_shift, distance_transform,
@@ -369,14 +369,12 @@ def test_estimate_pose_noiseless_random_poses(cfg):
 
 
 def test_estimate_pose_full_pipeline(cfg, pose):
-    h = ris_bs_channel(cfg)
-    profiles = ris_profiles(cfg)
-    s = pilot_matrix(cfg)
-    hbar = khatri_rao(profiles, h)
     a = fresnel(pose, cfg)
-    y = hbar @ a @ s
-    for structured in (False, True):
-        est = estimate_pose(y, hbar, s, cfg, structured=structured)
+    # P = N and a profile count that is not a multiple of N
+    for p in (cfg.n_ris, cfg.n_ris + 2):
+        c = replace(cfg, p_profiles=p)
+        y = observe(a, c, math.inf, np.random.default_rng(0))
+        est = estimate_pose(y, c)
         assert est.r_hat == pytest.approx(pose.r, rel=1e-6)
         assert est.psi_hat == pytest.approx(pose.psi, abs=1e-6)
 

@@ -1,14 +1,18 @@
-"""Channel recovery: pseudoinverse paths, noise propagation, linearity."""
+"""Channel recovery: closed-form inverse, dense oracle, noise propagation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rispose.channel import (ChannelMode, khatri_rao, observe, pilot_matrix,
-                             ris_bs_channel, ris_profiles, ris_ue_channel)
+from rispose.channel import ChannelMode, observe, pilot_matrix, ris_ue_channel
 from rispose.geometry import Pose, SystemConfig
-from rispose.recovery import measurement_pinv, recover_channel
+from rispose.recovery import recover_channel
+from rispose.validate import (check_pinv_paths, dense_measurement_matrix,
+                              dense_recovery)
 
 
 @pytest.fixture
@@ -22,81 +26,68 @@ def pose():
                 psi=math.radians(140), gamma=math.radians(60))
 
 
-@pytest.fixture
-def operators(cfg):
-    h = ris_bs_channel(cfg)
-    profiles = ris_profiles(cfg)
-    s = pilot_matrix(cfg)
-    return h, profiles, s, khatri_rao(profiles, h)
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def test_pinv_is_left_inverse(operators, cfg):
-    _, _, _, hbar = operators
-    for structured in (False, True):
-        left = measurement_pinv(hbar, structured=structured)
-        np.testing.assert_allclose(left @ hbar, np.eye(cfg.n_ris), atol=1e-10)
+def test_pinv_is_left_inverse(cfg):
+    # any (n_ris, k_ue) matrix, not only a channel, comes back exactly
+    rng = np.random.default_rng(3)
+    for p in (cfg.n_ris, cfg.n_ris + 2, 2 * cfg.n_ris - 1):
+        c = replace(cfg, p_profiles=p)
+        a = complex_normal(rng, (c.n_ris, c.k_ue))
+        rec = recover_channel(observe(a, c, math.inf, rng), c)
+        np.testing.assert_allclose(rec.matrix, a, atol=1e-10)
 
 
-def test_structured_and_generic_paths_agree(operators):
-    _, _, _, hbar = operators
-    diff = measurement_pinv(hbar, structured=True) - measurement_pinv(hbar)
-    assert np.abs(diff).max() < 1e-10
+def test_structured_and_generic_paths_agree(cfg):
+    # closed-form recovery vs the dense SVD pseudoinverses, at P = N and at
+    # a P that is not a multiple of N
+    result = check_pinv_paths(cfg)
+    assert result.passed, result.detail
 
 
-def test_pinv_rejects_rank_deficiency(operators):
-    _, _, _, hbar = operators
-    broken = hbar.copy()
-    broken[:, 1] = broken[:, 0]
-    with pytest.raises(ValueError, match="rank deficient"):
-        measurement_pinv(broken)
+def test_recover_channel_rejects_bad_shape(cfg):
+    rows = cfg.m_bs * cfg.p_profiles
+    for shape in ((rows - cfg.m_bs, cfg.l_pilot), (rows, cfg.l_pilot + 1), (rows,)):
+        with pytest.raises(ValueError, match="observation shape"):
+            recover_channel(np.ones(shape, dtype=complex), cfg)
 
 
-def test_pinv_rejects_wide_matrix():
-    with pytest.raises(ValueError):
-        measurement_pinv(np.ones((3, 5), dtype=complex))
-
-
-def test_noiseless_recovery_both_modes(cfg, pose, operators):
-    h, profiles, s, hbar = operators
+def test_noiseless_recovery_both_modes(cfg, pose):
     rng = np.random.default_rng(0)
     for mode in ChannelMode:
         a = ris_ue_channel(pose, cfg, mode)
-        y = observe(a, h, profiles, s, 0.0, rng, hbar=hbar)
-        for structured in (False, True):
-            rec = recover_channel(y, hbar, s, structured=structured)
+        for p in (cfg.n_ris, cfg.n_ris + 1):
+            c = replace(cfg, p_profiles=p)
+            rec = recover_channel(observe(a, c, math.inf, rng), c)
             assert rec.matrix.shape == (cfg.n_ris, cfg.k_ue)
             assert np.abs(rec.matrix - a).max() < 1e-10
 
 
-def test_recovery_linearity_in_noise(cfg, pose, operators):
-    h, profiles, s, hbar = operators
+def test_recovery_linearity_in_noise(cfg, pose):
     a = ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
     rng = np.random.default_rng(21)
-    w = rng.standard_normal((hbar.shape[0], cfg.l_pilot)) \
-        + 1j * rng.standard_normal((hbar.shape[0], cfg.l_pilot))
-    y = hbar @ a @ s + w
-    rec = recover_channel(y, hbar, s, structured=True)
-    transformed = measurement_pinv(hbar, structured=True) @ w @ np.linalg.pinv(s)
-    np.testing.assert_allclose(rec.matrix - a, transformed, atol=1e-10)
+    w = complex_normal(rng, (cfg.m_bs * cfg.p_profiles, cfg.l_pilot))
+    y = observe(a, cfg, math.inf, rng) + w
+    rec = recover_channel(y, cfg)
+    np.testing.assert_allclose(rec.matrix - a, dense_recovery(w, cfg), atol=1e-10)
 
 
-def test_residual_noise_scale_prediction(cfg, operators):
-    # structured inversion turns iid observation noise into iid channel noise
-    # with per-entry variance sigma^2 * K / (power * M * P)
-    h, profiles, s, hbar = operators
-    predicted = math.sqrt(cfg.k_ue / (cfg.power_w * hbar.shape[0]))
-    rec = recover_channel(np.zeros((hbar.shape[0], cfg.l_pilot), dtype=complex),
-                          hbar, s, structured=True)
+def test_residual_noise_scale_prediction(cfg):
+    # with P = N, inversion turns iid observation noise into iid channel
+    # noise with per-entry variance sigma^2 * K / (power * M * P)
+    rows = cfg.m_bs * cfg.p_profiles
+    predicted = math.sqrt(cfg.k_ue / (cfg.power_w * rows))
+    rec = recover_channel(np.zeros((rows, cfg.l_pilot), dtype=complex), cfg)
     assert rec.residual_noise_scale == pytest.approx(predicted, rel=1e-10)
 
     sigma = 0.4
     rng = np.random.default_rng(77)
     samples = []
     for _ in range(400):
-        w = sigma / math.sqrt(2) * (
-            rng.standard_normal((hbar.shape[0], cfg.l_pilot))
-            + 1j * rng.standard_normal((hbar.shape[0], cfg.l_pilot)))
-        samples.append(recover_channel(w, hbar, s, structured=True).matrix.ravel())
+        w = sigma / math.sqrt(2) * complex_normal(rng, (rows, cfg.l_pilot))
+        samples.append(recover_channel(w, cfg).matrix.ravel())
     var = np.var(np.concatenate(samples))
     assert var == pytest.approx((sigma * predicted) ** 2, rel=0.10)
 
@@ -105,14 +96,40 @@ def test_recovery_invariant_to_far_field_angles(cfg, pose):
     # the static-link angles cancel through the left inverse
     recs = []
     for theta_bs, theta_ris, phi_ris in ((0.5, 0.7, 0.9), (1.1, 0.2, 1.3)):
-        c = SystemConfig(m_bs=cfg.m_bs, k_ue=cfg.k_ue, n_x=cfg.n_x, n_y=cfg.n_y,
-                         p_profiles=cfg.p_profiles, l_pilot=cfg.l_pilot,
-                         theta_bs=theta_bs, theta_ris=theta_ris, phi_ris=phi_ris)
-        h = ris_bs_channel(c)
-        profiles = ris_profiles(c)
-        s = pilot_matrix(c)
-        hbar = khatri_rao(profiles, h)
+        c = replace(cfg, theta_bs=theta_bs, theta_ris=theta_ris, phi_ris=phi_ris)
         a = ris_ue_channel(pose, c, ChannelMode.FRESNEL)
-        y = hbar @ a @ s
-        recs.append(recover_channel(y, hbar, s, structured=True).matrix)
+        y = observe(a, c, math.inf, np.random.default_rng(0))
+        recs.append(recover_channel(y, c).matrix)
     np.testing.assert_allclose(recs[0], recs[1], atol=1e-9)
+
+
+@st.composite
+def sounding_configs(draw):
+    n_x, n_y = draw(st.lists(st.sampled_from([3, 5, 7, 9]), min_size=2, max_size=2,
+                             unique=True))
+    n = n_x * n_y
+    k_ue = draw(st.sampled_from([3, 5, 7]))
+    return SystemConfig(m_bs=draw(st.integers(1, 4)), k_ue=k_ue, n_x=n_x, n_y=n_y,
+                        p_profiles=draw(st.integers(n, 3 * n)),
+                        l_pilot=draw(st.integers(k_ue, k_ue + 4)),
+                        theta_bs=draw(st.floats(0.0, 1.5)),
+                        theta_ris=draw(st.floats(0.0, 1.5)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=sounding_configs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_recovery_matches_dense_oracle(cfg, seed):
+    rng = np.random.default_rng(seed)
+    a = complex_normal(rng, (cfg.n_ris, cfg.k_ue))
+    y = observe(a, cfg, math.inf, rng)
+    assert np.abs(recover_channel(y, cfg).matrix - a).max() < 1e-10
+
+    y_noisy = observe(a, cfg, 5.0, rng)
+    rec = recover_channel(y_noisy, cfg)
+    assert np.abs(rec.matrix - dense_recovery(y_noisy, cfg)).max() < 1e-10
+
+    left = np.linalg.pinv(dense_measurement_matrix(cfg))
+    right = np.linalg.pinv(pilot_matrix(cfg))
+    dense_gain = (np.linalg.norm(left) * np.linalg.norm(right)
+                  / math.sqrt(cfg.n_ris * cfg.k_ue))
+    assert rec.residual_noise_scale == pytest.approx(dense_gain, rel=1e-10)
