@@ -266,7 +266,8 @@ def estimate_orientation(
     For each off-center antenna k, the x/y shift ratios are divided by the
     direction ratios to leave pure orientation phases that scale with
     ``k / r``.  Each k yields an azimuth (sign-corrected so negative k does
-    not flip the quadrant) and an elevation; both are averaged over k.
+    not flip the quadrant) and an elevation.  The azimuths are averaged on
+    the circle, the elevations arithmetically.
 
     Returns:
         (psi_hat, gamma_hat, diagnostics).
@@ -300,7 +301,10 @@ def estimate_orientation(
     gamma_per_k[cols] = gamma
     diag = {"gamma_cos_arg_max": float(cos_args.max()), "orientation_skipped": skipped,
             "psi_per_k": psi_per_k, "gamma_per_k": gamma_per_k}
-    return float(np.mean(psi)), float(np.mean(gamma)), diag
+    # per-antenna azimuths near pi wrap to near -pi; take the circular mean
+    # and wrap it into [-pi/2, 3pi/2), the 2 pi window centred on (0, pi)
+    psi_hat = (np.angle(np.mean(np.exp(1j * psi))) + math.pi / 2) % (2 * math.pi) - math.pi / 2
+    return float(psi_hat), float(np.mean(gamma)), diag
 
 
 def estimate_pose_from_channel(a: np.ndarray, cfg: SystemConfig) -> PoseEstimate:

@@ -17,6 +17,7 @@ from rispose.estimator import (EstimationError,
                                orientation_transform, tls_phase_ratio)
 from rispose.geometry import (Pose, SystemConfig, near_field_bounds,
                               ris_element_grid, sample_pose, unit_direction)
+from rispose.montecarlo import run_trial
 
 
 @pytest.fixture
@@ -343,6 +344,26 @@ def test_estimate_orientation_requires_positive_distance(cfg, pose):
     ex, ey = direction_shifts(pose, cfg)
     with pytest.raises(EstimationError):
         estimate_orientation(d, ex, ey, -1.0, cfg)
+
+
+def test_orientation_azimuth_near_pi_does_not_wrap(cfg):
+    # at psi = 169 deg and 0 dB some per-antenna azimuths land past the +-pi
+    # cut; an arithmetic mean of them is off by up to 2 pi / K
+    psi_true = math.radians(169.0)
+    wrapped = 0
+    errors = []
+    for t in range(40):
+        pose = replace(sample_pose(np.random.default_rng([11, t]), cfg), psi=psi_true)
+        result = run_trial(cfg, pose, 0.0, ChannelMode.FRESNEL,
+                           np.random.default_rng([12, t]))
+        if result.failed:
+            continue
+        wrapped += bool(np.nanmin(result.estimate.diagnostics["psi_per_k"]) < 0)
+        errors.append(result.squared_relative_error["psi"])
+    assert wrapped > 0  # the cut is exercised
+    assert len(errors) >= 35
+    assert max(errors) < 1e-2
+    assert np.mean(errors) < 1e-3
 
 
 def test_orientation_near_vertical_is_continuous(cfg):
