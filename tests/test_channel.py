@@ -139,8 +139,9 @@ def test_pilot_matrix_frozen_entries():
                                     abs=1e-14)
 
 
-def test_observe_block_structure(small, pose):
-    # block p of the dense oracle is h diag(profiles[p]); observe matches
+def test_khatri_rao_block_structure(small, pose):
+    # the dense oracle is the column-wise Kronecker (Khatri-Rao) product of
+    # profiles and channel: block p is h diag(profiles[p]); observe matches
     # the oracle product also when P is not a multiple of N
     a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
     for p_count in (small.n_ris, small.n_ris + 2, 2 * small.n_ris - 1):
@@ -157,7 +158,7 @@ def test_observe_block_structure(small, pose):
         np.testing.assert_allclose(y, hbar @ a @ pilot_matrix(c), atol=1e-12)
 
 
-def test_observe_snr_levels(small, pose):
+def test_noise_sigma_for_snr_levels(small, pose):
     # SNR is mean signal power per entry over the per-entry noise variance;
     # the noise is standard_normal(y.shape), real part then imaginary part
     a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
