@@ -60,7 +60,7 @@ def ris_ue_channel(pose: Pose, cfg: SystemConfig,
         s_sq = sx * sx + sy * sy  # (N,)
         e_dot_s = e[0] * sx + e[1] * sy
         g_dot_s = g[0] * sx + g[1] * sy
-        e_dot_g = float(e @ g)
+        e_dot_g = float(e[0] * g[0] + e[1] * g[1] + e[2] * g[2])
         excess = (
             (ku[None, :] ** 2 + s_sq[:, None]) / (2 * pose.r)
             + ku[None, :] * (e_dot_g - g_dot_s[:, None] / pose.r)
@@ -111,17 +111,30 @@ def ris_profiles(cfg: SystemConfig) -> np.ndarray:
     return np.exp(-2j * np.pi * ((p * i) % cfg.n_ris) / cfg.n_ris)
 
 
+def _pilot_scale(cfg: SystemConfig) -> float:
+    """Entry magnitude of the pilot block: power split over antennas and symbols."""
+    return math.sqrt(cfg.power_w / (cfg.k_ue * cfg.l_pilot))
+
+
+def _profile_residues(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """DFT row ``p mod n_ris`` of each profile, and how many profiles share each row."""
+    residue = np.arange(cfg.p_profiles) % cfg.n_ris
+    return residue, np.bincount(residue, minlength=cfg.n_ris)
+
+
 def pilot_matrix(cfg: SystemConfig) -> np.ndarray:
     """Orthogonal pilot block, shape (k_ue, l_pilot).
 
     First k_ue rows of the l_pilot-point DFT matrix, scaled so that
     ``S S^H = (power_w / k_ue) * I`` (total transmit power split across
-    antennas and pilot symbols).
+    antennas and pilot symbols).  ``a @ S`` is therefore the zero-padded
+    FFT ``np.fft.fft(a, n=l_pilot, axis=1)`` times that scale, which is how
+    ``observe`` applies it; this matrix is the explicit form the tests and
+    the validation suite check against.
     """
     a = np.arange(cfg.k_ue)[:, None]
     b = np.arange(cfg.l_pilot)[None, :]
-    scale = math.sqrt(cfg.power_w / (cfg.k_ue * cfg.l_pilot))
-    return scale * np.exp(-2j * np.pi * a * b / cfg.l_pilot)
+    return _pilot_scale(cfg) * np.exp(-2j * np.pi * a * b / cfg.l_pilot)
 
 
 def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
@@ -130,13 +143,16 @@ def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
 
     Block p (m_bs rows) is ``h @ diag(profiles[p]) @ a @ s`` for the RIS-BS
     channel ``h``, ``profiles = ris_profiles(cfg)`` and ``s = pilot_matrix(cfg)``.
-    Profile p is DFT row ``p mod n_ris``, so each block is ``h_b`` times a row
-    of an FFT over the element axis; the dense measurement matrix is never
-    formed.
+    Profile p is DFT row ``p mod n_ris`` and the pilots are the first k_ue
+    rows of a DFT, so every block is ``h_b`` times a row of a 2-D FFT of
+    the channel; neither the dense measurement matrix nor the pilot block
+    is formed, and no BLAS routine runs.
 
     Circular complex Gaussian noise is added at the receive SNR ``snr_db``:
     mean signal power per entry over the per-entry noise variance.
-    ``snr_db = inf`` is noiseless and leaves the generator untouched.
+    ``snr_db = inf`` is noiseless and leaves the generator untouched.  A
+    finite SNR so low that the noise overflows yields a nonfinite
+    observation, which estimation reports as a failure.
 
     Raises:
         ValueError: if ``snr_db`` is NaN or -inf.
@@ -144,12 +160,23 @@ def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number above -inf, got {snr_db!r}")
     h_b, h_r = ris_bs_channel(cfg)
-    t = np.fft.fft(h_r.conj()[:, None] * (a @ pilot_matrix(cfg)), axis=0)
-    t = t[np.arange(cfg.p_profiles) % cfg.n_ris]
-    y = (h_b[None, :, None] * t[:, None, :]).reshape(-1, t.shape[1])
-    # per-entry noise std, split evenly over the real and imaginary parts
-    scale = math.sqrt(np.vdot(y, y).real / (2 * y.size)) * 10.0 ** (-snr_db / 20.0)
+    residue, counts = _profile_residues(cfg)
+    # row r is conj(h_r) * profile row r applied to the channel, times the
+    # pilots; the element-axis FFT goes first, while there are only k_ue columns
+    t = np.fft.fft(np.fft.fft(h_r.conj()[:, None] * a, axis=0), n=cfg.l_pilot, axis=1)
+    t *= _pilot_scale(cfg)
+    # |h_b| = 1, so profile p contributes m_bs * |t[p mod n_ris]|^2 to |y|^2
+    power = cfg.m_bs * float((counts * (t.real ** 2 + t.imag ** 2).sum(axis=1)).sum())
+    y = (h_b[None, :, None] * t[residue][:, None, :]).reshape(-1, cfg.l_pilot)
+    # per-entry noise std, split evenly over the real and imaginary parts;
+    # below about -6165 dB the gain is inf rather than an OverflowError
+    with np.errstate(over="ignore"):
+        gain = float(np.power(10.0, -snr_db / 20.0))
+    scale = math.sqrt(power / (2 * y.size)) * gain
     if scale > 0:
-        noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-        y = y + scale * noise
+        # the same stream as drawing the real parts, then the imaginary parts
+        noise = rng.standard_normal((2,) + y.shape)
+        noise *= scale
+        y.real += noise[0]
+        y.imag += noise[1]
     return y

@@ -319,8 +319,11 @@ def estimate_pose_from_channel(a: np.ndarray, cfg: SystemConfig) -> PoseEstimate
 
     Raises:
         EstimationError: if any stage fails; ``partial`` carries whatever
-            earlier stages produced.
+            earlier stages produced.  Stage ``nonfinite`` means ``a`` holds
+            an inf or NaN, as after noise that overflowed.
     """
+    if not np.isfinite(a).all():
+        raise EstimationError("nonfinite", "recovered channel is not finite")
     partial: dict = {}
     try:
         r_hat, per_k = estimate_distance(distance_transform(a), cfg)

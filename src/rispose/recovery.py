@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import pilot_matrix, ris_bs_channel
+from .channel import _pilot_scale, _profile_residues, ris_bs_channel
 from .geometry import SystemConfig
 
 
@@ -37,7 +37,9 @@ def recover_channel(y: np.ndarray, cfg: SystemConfig) -> RecoveredChannel:
     therefore: project each block onto ``h_b`` (``w_p = h_b^H y_p / M``),
     average the w_p that share a residue ``p mod n_ris``, inverse-FFT over
     the element axis and multiply by ``h_r``.  The orthogonal pilots invert
-    as ``s^H K / power``.
+    as ``s^H K / power``; ``s`` is the first K rows of the L-point DFT, so
+    that is an inverse FFT over the pilot axis, of which the first K
+    columns are kept.  No BLAS routine runs.
 
     Noiseless observations recover the channel to machine precision; with
     noise the estimate is channel plus colored noise whose average gain is
@@ -50,13 +52,16 @@ def recover_channel(y: np.ndarray, cfg: SystemConfig) -> RecoveredChannel:
     if y.shape != shape:
         raise ValueError(f"expected observation shape {shape}, got {y.shape}")
     h_b, h_r = ris_bs_channel(cfg)
-    w = h_b.conj() @ y.reshape(cfg.p_profiles, cfg.m_bs, cfg.l_pilot) / cfg.m_bs
-    residue = np.arange(cfg.p_profiles) % cfg.n_ris
-    counts = np.bincount(residue, minlength=cfg.n_ris)
+    blocks = y.reshape(cfg.p_profiles, cfg.m_bs, cfg.l_pilot)
+    w = (h_b.conj()[None, :, None] * blocks).sum(axis=1) / cfg.m_bs
+    residue, counts = _profile_residues(cfg)
     folded = np.zeros((cfg.n_ris, cfg.l_pilot), dtype=complex)
     np.add.at(folded, residue, w)
-    x = h_r[:, None] * np.fft.ifft(folded / counts[:, None], axis=0)
     pilot_gain = cfg.k_ue / cfg.power_w
+    # s^H K / power is the first k_ue columns of an ifft over the pilot axis,
+    # times L * scale * K / power; the element-axis ifft then has k_ue columns
+    x = np.fft.ifft(folded / counts[:, None], axis=1)[:, :cfg.k_ue]
+    x = h_r[:, None] * np.fft.ifft(x, axis=0)
+    matrix = (_pilot_scale(cfg) * cfg.l_pilot * pilot_gain) * x
     gain = math.sqrt(pilot_gain / (cfg.m_bs * cfg.n_ris ** 2) * np.sum(1.0 / counts))
-    return RecoveredChannel(matrix=x @ (pilot_matrix(cfg).conj().T * pilot_gain),
-                            residual_noise_scale=gain)
+    return RecoveredChannel(matrix=matrix, residual_noise_scale=gain)

@@ -1,10 +1,13 @@
 """Monte Carlo driver: trials, seed derivation, sweeps, NMSE aggregation."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rispose
 import rispose.montecarlo as mc_mod
 from rispose.channel import ChannelMode
 from rispose.estimator import EstimationError, PoseEstimate
@@ -70,6 +73,51 @@ def test_run_trial_flags_nonfinite_estimates(cfg, pose, monkeypatch):
     assert result.failed
     assert result.stage == "nonfinite"
     assert result.estimate is fake
+
+
+def test_run_trial_never_raises_at_overflowing_snr(cfg, pose):
+    # the noise gain overflows near -6165 dB; the observation overflows a
+    # little above that; both are recorded failures, not raises
+    table = run_sweep(cfg, {"snr_db": [-6160.0, -7000.0]}, trials=3,
+                      master_seed=9, mode=ChannelMode.FRESNEL, fixed_pose=pose)
+    assert len(table.rows) == 2 * len(PARAMS)
+    for row in table.rows:
+        assert row.failures == 3
+        assert math.isnan(row.nmse)
+    result = run_trial(cfg, pose, -7000.0, ChannelMode.FRESNEL,
+                       np.random.default_rng(0))
+    assert result.failed and result.stage == "nonfinite"
+
+
+# OpenBLAS worker threads spin between trials and burn the second core, so
+# nothing on the per-trial path may call into BLAS
+TRIAL_PATH_MODULES = ("channel.py", "recovery.py", "estimator.py", "montecarlo.py")
+BLAS_CALLS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
+
+
+def test_trial_path_makes_no_blas_calls():
+    src = Path(rispose.__file__).parent
+    found = []
+    for name in TRIAL_PATH_MODULES:
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            where = f"{name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    node.op, ast.MatMult):
+                found.append(f"{where} @")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr in BLAS_CALLS:
+                    found.append(f"{where} {func.attr}()")
+                elif isinstance(func, ast.Name) and func.id in BLAS_CALLS:
+                    found.append(f"{where} {func.id}()")
+            elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+                found.append(f"{where} linalg")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+                if any("linalg" in n or n in BLAS_CALLS for n in names):
+                    found.append(f"{where} import")
+    assert found == []
 
 
 # ------------------------------------------------------------ seed derivation
