@@ -21,7 +21,7 @@ from .geometry import (Pose, SystemConfig, near_field_bounds, ris_element_grid,
                        sample_pose, unit_direction)
 from .montecarlo import (NmseRow, NmseTable, TrialResult, pose_seed, run_sweep,
                          run_trial, trial_seed)
-from .recovery import RecoveredChannel, recover_channel
+from .recovery import RecoveredChannel, recover_channel, sound_and_recover
 from .validate import CheckResult, run_validation
 
 __version__ = "0.1.0"
@@ -36,5 +36,6 @@ __all__ = [
     "orientation_transform", "parse_config", "pilot_matrix", "pose_seed",
     "recover_channel", "ris_bs_channel", "ris_element_grid", "ris_profiles",
     "ris_ue_channel", "run_sweep", "run_trial", "run_validation", "sample_pose",
-    "serialize_config", "tls_phase_ratio", "trial_seed", "unit_direction",
+    "serialize_config", "sound_and_recover", "tls_phase_ratio", "trial_seed",
+    "unit_direction",
 ]

@@ -137,6 +137,31 @@ def pilot_matrix(cfg: SystemConfig) -> np.ndarray:
     return _pilot_scale(cfg) * np.exp(-2j * np.pi * a * b / cfg.l_pilot)
 
 
+def _noise_std(u: np.ndarray, cfg: SystemConfig, snr_db: float) -> float:
+    """Per-part noise std of the observation at the receive SNR ``snr_db``.
+
+    ``u`` is the element-axis spectrum ``fft(conj(h_r) * a, axis=0)`` of the
+    (n_ris, k_ue) channel ``a``.  Observation block p is ``h_b`` times the
+    pilot-axis FFT of ``u[p mod n_ris]``, scaled by ``_pilot_scale``; with
+    ``|h_b| = 1`` and Parseval (``|fft(x, n=L)|^2 = L |x|^2``) the mean signal
+    power per entry is ``scale^2 * sum_r c_r |u_r|^2 / P``, where ``c_r``
+    counts the profiles with residue r.  The noise variance per entry is
+    that power over ``10^(snr_db / 10)``, split evenly over the real and
+    imaginary parts.  ``snr_db = inf`` gives 0; below about -6165 dB the
+    gain is inf rather than an OverflowError.
+
+    Raises:
+        ValueError: if ``snr_db`` is NaN or -inf.
+    """
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number above -inf, got {snr_db!r}")
+    _, counts = _profile_residues(cfg)
+    energy = float((counts * (u.real ** 2 + u.imag ** 2).sum(axis=1)).sum())
+    with np.errstate(over="ignore"):
+        gain = float(np.power(10.0, -snr_db / 20.0))
+    return _pilot_scale(cfg) * math.sqrt(energy / (2 * cfg.p_profiles)) * gain
+
+
 def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
             rng: np.random.Generator) -> np.ndarray:
     """Stacked noisy sounding observation, shape (m_bs * p_profiles, l_pilot).
@@ -149,34 +174,28 @@ def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
     is formed, and no BLAS routine runs.
 
     Circular complex Gaussian noise is added at the receive SNR ``snr_db``:
-    mean signal power per entry over the per-entry noise variance.
-    ``snr_db = inf`` is noiseless and leaves the generator untouched.  A
-    finite SNR so low that the noise overflows yields a nonfinite
-    observation, which estimation reports as a failure.
+    mean signal power per entry over the per-entry noise variance
+    (``_noise_std``).  The noise is one ``standard_normal`` draw of every
+    real part, then every imaginary part.  ``snr_db = inf`` is noiseless
+    and leaves the generator untouched.  A finite SNR so low that the noise
+    overflows yields a nonfinite observation, which estimation reports as
+    a failure.
 
     Raises:
         ValueError: if ``snr_db`` is NaN or -inf.
     """
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be a number above -inf, got {snr_db!r}")
     h_b, h_r = ris_bs_channel(cfg)
-    residue, counts = _profile_residues(cfg)
     # row r is conj(h_r) * profile row r applied to the channel, times the
     # pilots; the element-axis FFT goes first, while there are only k_ue columns
-    t = np.fft.fft(np.fft.fft(h_r.conj()[:, None] * a, axis=0), n=cfg.l_pilot, axis=1)
+    u = np.fft.fft(h_r.conj()[:, None] * a, axis=0)
+    std = _noise_std(u, cfg, snr_db)
+    t = np.fft.fft(u, n=cfg.l_pilot, axis=1)
     t *= _pilot_scale(cfg)
-    # |h_b| = 1, so profile p contributes m_bs * |t[p mod n_ris]|^2 to |y|^2
-    power = cfg.m_bs * float((counts * (t.real ** 2 + t.imag ** 2).sum(axis=1)).sum())
+    residue, _ = _profile_residues(cfg)
     y = (h_b[None, :, None] * t[residue][:, None, :]).reshape(-1, cfg.l_pilot)
-    # per-entry noise std, split evenly over the real and imaginary parts;
-    # below about -6165 dB the gain is inf rather than an OverflowError
-    with np.errstate(over="ignore"):
-        gain = float(np.power(10.0, -snr_db / 20.0))
-    scale = math.sqrt(power / (2 * y.size)) * gain
-    if scale > 0:
-        # the same stream as drawing the real parts, then the imaginary parts
+    if std > 0:
         noise = rng.standard_normal((2,) + y.shape)
-        noise *= scale
+        noise *= std
         y.real += noise[0]
         y.imag += noise[1]
     return y

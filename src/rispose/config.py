@@ -89,13 +89,23 @@ class RunConfig:
             raise ConfigError(str(err)) from None
 
     def system(self) -> SystemConfig:
-        """Convert to internal units (radians, watts)."""
+        """Convert to internal units (radians, watts).
+
+        Raises:
+            ConfigError: if the transmit power in watts overflows a float.
+            ValueError: if a ``SystemConfig`` invariant fails.
+        """
+        try:
+            power_w = 10.0 ** (self.power_dbm / 10.0 - 3.0)
+        except OverflowError:
+            raise ConfigError(f"power_dbm = {self.power_dbm!r} overflows the "
+                              f"transmit power in watts") from None
         return SystemConfig(
             m_bs=self.m, k_ue=self.k, n_x=self.n_x, n_y=self.n_y,
             p_profiles=self.p, l_pilot=self.l,
             wavelength=self.wavelength,
             d_u=self.d_u, d_b=self.d_b, d_x=self.d_x, d_y=self.d_y,
-            power_w=10.0 ** (self.power_dbm / 10.0 - 3.0),
+            power_w=power_w,
             theta_bs=math.radians(self.theta_bs_deg),
             theta_ris=math.radians(self.theta_ris_deg),
             phi_ris=math.radians(self.phi_ris_deg),

@@ -87,8 +87,20 @@ class SystemConfig:
             )
         for name in ("wavelength", "d_u", "d_b", "d_x", "d_y", "power_w"):
             v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v!r}")
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        for name in ("theta_bs", "theta_ris", "phi_ris"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+        # pose sampling draws r from this window, so it must be a finite range
+        try:
+            window = near_field_bounds(self)
+        except OverflowError:
+            window = (math.inf, math.inf)
+        if not all(math.isfinite(v) for v in window):
+            raise ValueError("the near-field window of this RIS aperture and "
+                             "wavelength overflows a float")
 
     @property
     def n_ris(self) -> int:

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelMode, observe, ris_ue_channel
-from .estimator import EstimationError, PoseEstimate, estimate_pose
+from .channel import ChannelMode, ris_ue_channel
+from .estimator import EstimationError, PoseEstimate, estimate_pose_from_channel
 from .geometry import Pose, SystemConfig, sample_pose
+from .recovery import sound_and_recover
 
 PARAMS = ("r", "theta", "phi", "psi", "gamma")
 
@@ -89,16 +90,19 @@ class NmseTable:
 
 def run_trial(cfg: SystemConfig, pose: Pose, snr_db: float, mode: ChannelMode,
               rng: np.random.Generator) -> TrialResult:
-    """Synthesize one observation and estimate the pose from it.
+    """Sound the channel of one pose, recover it and estimate the pose.
 
-    ``snr_db = inf`` means noiseless.  The observation comes from
-    ``observe`` and the channel is recovered by the closed-form
-    least-squares inverse, one code path for every profile count P >= N.
+    ``snr_db = inf`` means noiseless.  The recovered channel comes from
+    ``sound_and_recover``: the same value and noise draw as
+    ``recover_channel(observe(...))``, without forming the observation.
     Estimation failures are recorded in the result, not raised.
+
+    Raises:
+        ValueError: if ``snr_db`` is NaN or -inf.
     """
-    y = observe(ris_ue_channel(pose, cfg, mode), cfg, snr_db, rng)
+    a = sound_and_recover(ris_ue_channel(pose, cfg, mode), cfg, snr_db, rng)
     try:
-        est = estimate_pose(y, cfg)
+        est = estimate_pose_from_channel(a, cfg)
     except EstimationError as err:
         return TrialResult(pose=pose, estimate=None, squared_relative_error=None,
                            failed=True, stage=err.stage)

@@ -1,4 +1,9 @@
-"""Least-squares recovery of the RIS-UE channel from sounding observations."""
+"""Least-squares recovery of the RIS-UE channel from sounding observations.
+
+``recover_channel`` inverts a given observation.  ``sound_and_recover`` is
+the Monte Carlo trial path: it returns what ``recover_channel(observe(...))``
+would, from the same noise draw, without forming the observation.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _pilot_scale, _profile_residues, ris_bs_channel
+from .channel import _noise_std, _pilot_scale, _profile_residues, ris_bs_channel
 from .geometry import SystemConfig
 
 
@@ -25,6 +30,42 @@ class RecoveredChannel:
 
     matrix: np.ndarray
     residual_noise_scale: float
+
+
+def _project(blocks: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``sum_m coef[m] * blocks[:, m, :]`` of (P, M, L) blocks, shape (P, L).
+
+    Accumulated one m at a time, so no (P, M, L) temporary is formed and no
+    BLAS routine runs.
+    """
+    w = coef[0] * blocks[:, 0, :]
+    for m in range(1, blocks.shape[1]):
+        w += coef[m] * blocks[:, m, :]
+    return w
+
+
+def _invert(w: np.ndarray, cfg: SystemConfig, h_r: np.ndarray) -> np.ndarray:
+    """Channel from the per-profile projections ``w_p = h_b^H y_p``, shape (P, L).
+
+    Sums the w_p that share a residue ``p mod n_ris`` and averages them,
+    inverts the pilots as an inverse FFT over the pilot axis whose first
+    k_ue columns are kept, then the profiles as an inverse FFT over the
+    element axis times ``h_r``, and scales by ``1/M`` and the pilot gain.
+    """
+    n = cfg.n_ris
+    _, counts = _profile_residues(cfg)
+    # profile p is DFT row p mod n: sum the chunks of n consecutive profiles
+    folded = w[:n].copy()
+    for start in range(n, cfg.p_profiles, n):
+        chunk = w[start:start + n]
+        folded[:len(chunk)] += chunk
+    folded /= counts[:, None]
+    # s^H K / power is the first k_ue columns of an ifft over the pilot axis,
+    # times L * scale * K / power; the element-axis ifft then has k_ue columns
+    x = np.fft.ifft(folded, axis=1)[:, :cfg.k_ue]
+    x = h_r[:, None] * np.fft.ifft(x, axis=0)
+    x *= _pilot_scale(cfg) * cfg.l_pilot * cfg.k_ue / (cfg.power_w * cfg.m_bs)
+    return x
 
 
 def recover_channel(y: np.ndarray, cfg: SystemConfig) -> RecoveredChannel:
@@ -53,15 +94,37 @@ def recover_channel(y: np.ndarray, cfg: SystemConfig) -> RecoveredChannel:
         raise ValueError(f"expected observation shape {shape}, got {y.shape}")
     h_b, h_r = ris_bs_channel(cfg)
     blocks = y.reshape(cfg.p_profiles, cfg.m_bs, cfg.l_pilot)
-    w = (h_b.conj()[None, :, None] * blocks).sum(axis=1) / cfg.m_bs
-    residue, counts = _profile_residues(cfg)
-    folded = np.zeros((cfg.n_ris, cfg.l_pilot), dtype=complex)
-    np.add.at(folded, residue, w)
-    pilot_gain = cfg.k_ue / cfg.power_w
-    # s^H K / power is the first k_ue columns of an ifft over the pilot axis,
-    # times L * scale * K / power; the element-axis ifft then has k_ue columns
-    x = np.fft.ifft(folded / counts[:, None], axis=1)[:, :cfg.k_ue]
-    x = h_r[:, None] * np.fft.ifft(x, axis=0)
-    matrix = (_pilot_scale(cfg) * cfg.l_pilot * pilot_gain) * x
-    gain = math.sqrt(pilot_gain / (cfg.m_bs * cfg.n_ris ** 2) * np.sum(1.0 / counts))
+    matrix = _invert(_project(blocks, h_b.conj()), cfg, h_r)
+    _, counts = _profile_residues(cfg)
+    gain = math.sqrt(cfg.k_ue / (cfg.power_w * cfg.m_bs * cfg.n_ris ** 2)
+                     * np.sum(1.0 / counts))
     return RecoveredChannel(matrix=matrix, residual_noise_scale=gain)
+
+
+def sound_and_recover(a: np.ndarray, cfg: SystemConfig, snr_db: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """``recover_channel(observe(a, cfg, snr_db, rng), cfg).matrix``, unformed.
+
+    Recovery is an exact left inverse of the sounding, so that round trip
+    is ``a`` plus the recovered noise, and only the noise is computed:
+    ``observe``'s own draw (every real part, then every imaginary part)
+    goes plane by plane into one reused (P, M, L) buffer, and each plane is
+    projected on ``h_b`` before the next is drawn.  The generator ends in
+    the state ``observe`` leaves it in.  ``snr_db = inf`` returns ``a``
+    itself and leaves the generator untouched.  A finite SNR so low that
+    the noise overflows yields a nonfinite channel, as ``observe`` does.
+
+    Raises:
+        ValueError: if ``snr_db`` is NaN or -inf.
+    """
+    h_b, h_r = ris_bs_channel(cfg)
+    std = _noise_std(np.fft.fft(h_r.conj()[:, None] * a, axis=0), cfg, snr_db)
+    if not std > 0:
+        return a
+    coef = h_b.conj()
+    plane = np.empty((cfg.p_profiles, cfg.m_bs, cfg.l_pilot))
+    rng.standard_normal(out=plane)
+    w = _project(plane, coef)
+    rng.standard_normal(out=plane)
+    w += _project(plane, 1j * coef)
+    return a + std * _invert(w, cfg, h_r)

@@ -21,7 +21,7 @@ from .estimator import (_grid, direction_shifts, direction_transform,
                         orientation_transform, tls_phase_ratio)
 from .geometry import Pose, SystemConfig, ris_element_grid
 from .montecarlo import run_trial
-from .recovery import recover_channel
+from .recovery import recover_channel, sound_and_recover
 
 # identity checks are exact algebra; estimator checks allow roundoff growth
 TOL_IDENTITY = 1e-12
@@ -167,6 +167,31 @@ def check_noiseless_recovery(cfg: SystemConfig, pose: Pose) -> CheckResult:
     return _result("noiseless channel recovery", worst, TOL_OPERATOR)
 
 
+def check_trial_path_recovery(cfg: SystemConfig, pose: Pose, snr_db: float = 10.0,
+                              seed: int = 0) -> CheckResult:
+    """The trial path equals dense recovery of ``observe``, on the same stream.
+
+    ``sound_and_recover`` and ``dense_recovery(observe(...))``, each from a
+    generator seeded with ``seed``, must agree at the config's profile
+    count, at P = N and at P = 2N - 1, and leave their generators in the
+    same state (their next draws are equal).
+    """
+    worst = 0.0
+    same_stream = True
+    a = ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
+    for p in sorted({cfg.p_profiles, cfg.n_ris, 2 * cfg.n_ris - 1}):
+        c = replace(cfg, p_profiles=p)
+        trial_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sound_and_recover(a, c, snr_db, trial_rng)
+        want = dense_recovery(observe(a, c, snr_db, ref_rng), c)
+        worst = max(worst, float(np.abs(got - want).max()))
+        same_stream &= bool(trial_rng.standard_normal() == ref_rng.standard_normal())
+    if not same_stream:
+        return CheckResult("trial-path recovery", False,
+                           "generators end in different states")
+    return _result("trial-path recovery", worst, TOL_OPERATOR)
+
+
 def check_tls_exactness(seed: int) -> CheckResult:
     """TLS ratio is exact on a noiseless rank-one pair."""
     rng = np.random.default_rng(seed)
@@ -214,6 +239,7 @@ def run_validation(seed: int = 7) -> list[CheckResult]:
         check_pilot_orthogonality(cfg),
         check_pinv_paths(cfg),
         check_noiseless_recovery(cfg, pose),
+        check_trial_path_recovery(cfg, pose),
         check_tls_exactness(seed),
         check_zero_noise_estimate(cfg, pose),
         check_trial_determinism(cfg, pose),

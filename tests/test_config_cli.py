@@ -115,6 +115,17 @@ def test_invalid_settings_rejected():
         with pytest.raises(ConfigError, match="snr_db"):
             parse_config(text)
     assert parse_config("snr_db = inf\n").snr_db == math.inf
+    # lengths, power and angles must be finite, and so must the power in
+    # watts and the near-field window
+    for text, key in (("power_dbm = 4000\n", "power_dbm"),
+                      ("power_dbm = inf\n", "power_w"), ("d_x = inf\n", "d_x"),
+                      ("wavelength = nan\n", "wavelength"),
+                      ("theta_bs_deg = inf\n", "theta_bs"),
+                      ("phi_ris_deg = nan\n", "phi_ris"),
+                      ("d_x = 1e200\n", "near-field"),
+                      ("wavelength = 1e-320\n", "near-field")):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
 
 
 def test_system_unit_conversion():
@@ -196,6 +207,10 @@ def test_cli_estimate_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["estimate", "--pose", "2.5,70,0,110,45"]) == 2  # phi = 0
     assert main(["estimate", "--snr-db", "nan"]) == 2
     assert main(["estimate", "--snr-db=-inf"]) == 2
+    for text in ("power_dbm = 4000\n", "power_dbm = inf\n", "d_x = inf\n",
+                 "theta_bs_deg = inf\n", "d_x = 1e200\n"):
+        bad.write_text(text)
+        assert main(["estimate", "--config", str(bad)]) == 2
     capsys.readouterr()
 
 
@@ -260,7 +275,7 @@ def test_cli_sweep_unwritable_output_exit_3(tmp_path, capsys):
 
 def test_validation_suite_all_green():
     results = run_validation(seed=7)
-    assert len(results) == 12
+    assert len(results) == 13
     assert all(r.passed for r in results), \
         [(r.name, r.detail) for r in results if not r.passed]
 
@@ -281,7 +296,7 @@ def test_cli_validate_pass_and_fail(capsys, monkeypatch):
     assert time.perf_counter() - start < 60.0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
-    assert "12/12 checks passed" in out
+    assert "13/13 checks passed" in out
 
     from rispose.validate import CheckResult
     monkeypatch.setattr(cli_mod, "run_validation",

@@ -67,12 +67,19 @@ def test_run_trial_flags_nonfinite_estimates(cfg, pose, monkeypatch):
     fake = PoseEstimate(r_hat=2.5, theta_hat=math.nan, phi_hat=0.6,
                         psi_hat=1.9, gamma_hat=0.8, delta_ex_hat=1j,
                         delta_ey_hat=1j, per_k_distance=np.zeros(4))
-    monkeypatch.setattr(mc_mod, "estimate_pose", lambda *a, **k: fake)
+    monkeypatch.setattr(mc_mod, "estimate_pose_from_channel", lambda *a, **k: fake)
     result = run_trial(cfg, pose, math.inf, ChannelMode.FRESNEL,
                        np.random.default_rng(0))
     assert result.failed
     assert result.stage == "nonfinite"
     assert result.estimate is fake
+
+
+def test_run_trial_rejects_undefined_snr(cfg, pose):
+    for snr_db in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="snr_db"):
+            run_trial(cfg, pose, snr_db, ChannelMode.FRESNEL,
+                      np.random.default_rng(0))
 
 
 def test_run_trial_never_raises_at_overflowing_snr(cfg, pose):
@@ -185,7 +192,7 @@ def test_run_sweep_all_failed_point(cfg, monkeypatch):
     def boom(*args, **kwargs):
         raise EstimationError("distance", "forced")
 
-    monkeypatch.setattr(mc_mod, "estimate_pose", boom)
+    monkeypatch.setattr(mc_mod, "estimate_pose_from_channel", boom)
     table = run_sweep(cfg, {"snr_db": [15.0]}, trials=4, master_seed=1)
     for row in table.rows:
         assert row.failures == 4

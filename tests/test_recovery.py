@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from rispose.channel import ChannelMode, observe, pilot_matrix, ris_ue_channel
 from rispose.geometry import Pose, SystemConfig
-from rispose.recovery import recover_channel
-from rispose.validate import (check_pinv_paths, dense_measurement_matrix,
-                              dense_recovery)
+from rispose.recovery import recover_channel, sound_and_recover
+from rispose.validate import (check_pinv_paths, check_trial_path_recovery,
+                              dense_measurement_matrix, dense_recovery)
 
 
 @pytest.fixture
@@ -103,6 +103,14 @@ def test_recovery_invariant_to_far_field_angles(cfg, pose):
     np.testing.assert_allclose(recs[0], recs[1], atol=1e-9)
 
 
+def test_sound_and_recover_noiseless_returns_channel(cfg, pose):
+    a = ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
+    rng = np.random.default_rng(99)
+    assert sound_and_recover(a, cfg, math.inf, rng) is a
+    # the stream was not consumed
+    assert rng.standard_normal() == np.random.default_rng(99).standard_normal()
+
+
 @st.composite
 def sounding_configs(draw):
     n_x, n_y = draw(st.lists(st.sampled_from([3, 5, 7, 9]), min_size=2, max_size=2,
@@ -133,3 +141,13 @@ def test_recovery_matches_dense_oracle(cfg, seed):
     dense_gain = (np.linalg.norm(left) * np.linalg.norm(right)
                   / math.sqrt(cfg.n_ris * cfg.k_ue))
     assert rec.residual_noise_scale == pytest.approx(dense_gain, rel=1e-10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=sounding_configs(), snr_db=st.floats(-10.0, 40.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_trial_path_matches_dense_recovery(cfg, snr_db, seed):
+    pose = Pose(r=1.5, theta=math.radians(80), phi=math.radians(25),
+                psi=math.radians(140), gamma=math.radians(60))
+    result = check_trial_path_recovery(cfg, pose, snr_db=snr_db, seed=seed)
+    assert result.passed, result.detail
