@@ -22,8 +22,7 @@ class ChannelMode(enum.Enum):
     FRESNEL = "fresnel"
 
 
-def ris_ue_channel(pose: Pose, cfg: SystemConfig,
-                   mode: ChannelMode = ChannelMode.FRESNEL) -> np.ndarray:
+def ris_ue_channel(pose: Pose, cfg: SystemConfig, mode: ChannelMode) -> np.ndarray:
     """Near-field RIS-UE channel matrix, shape (n_ris, k_ue), complex.
 
     Entry (i, k) is ``exp(-j 2 pi (r_ik - r) / wavelength)`` where ``r_ik``

@@ -1,4 +1,4 @@
-"""Run configuration: flat key = value files, defaults, serialization.
+"""Run configuration: flat key = value files and defaults.
 
 The file format is one ``key = value`` pair per line, UTF-8, with ``#``
 comments and blank lines allowed.  Values at this boundary use presentation
@@ -9,7 +9,7 @@ converts once to the radians/watts units used internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .channel import ChannelMode
 from .geometry import SystemConfig
@@ -172,19 +172,3 @@ def load_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
 
-
-def serialize_config(rc: RunConfig) -> str:
-    """Canonical text form; parse(serialize(rc)) reproduces rc exactly."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(rc, f.name)
-        key = next((k for k, v in _KEY_TO_FIELD.items() if v == f.name), f.name)
-        if isinstance(value, list):
-            if value:
-                lines.append(f"{key} = {', '.join(repr(v) for v in value)}")
-            continue
-        if isinstance(value, ChannelMode):
-            value = value.value
-        lines.append(f"{key} = {value!r}" if isinstance(value, float)
-                     else f"{key} = {value}")
-    return "\n".join(lines) + "\n"

@@ -41,13 +41,6 @@ class EstimationError(Exception):
         self.partial = partial if partial is not None else {}
 
 
-class DegenerateGeometryError(EstimationError):
-    """A phase ratio is unidentifiable for this geometry (not a numeric bug)."""
-
-    def __init__(self, message: str, stage: str = "tls"):
-        super().__init__(stage, message)
-
-
 @dataclass(frozen=True)
 class PoseEstimate:
     """Estimated pose with per-stage diagnostics."""
@@ -57,19 +50,11 @@ class PoseEstimate:
     phi_hat: float
     psi_hat: float
     gamma_hat: float
-    delta_ex_hat: complex
-    delta_ey_hat: complex
-    per_k_distance: np.ndarray = field(repr=False)
     diagnostics: dict = field(repr=False, default_factory=dict)
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.r_hat, self.theta_hat, self.phi_hat,
                 self.psi_hat, self.gamma_hat)
-
-    def to_dict(self) -> dict:
-        return {"r": self.r_hat, "theta": self.theta_hat, "phi": self.phi_hat,
-                "psi": self.psi_hat, "gamma": self.gamma_hat}
-
 
 def distance_transform(a: np.ndarray) -> np.ndarray:
     """a * a with columns flipped; rows gain a column-pair distance ratio."""
@@ -249,7 +234,7 @@ def estimate_direction(
     ay = np.angle(delta_ey) / cfg.d_y
     if ax == 0.0 and ay == 0.0:
         # elevation exactly 90 degrees leaves the azimuth undefined
-        raise DegenerateGeometryError("both direction phases vanish", stage="direction")
+        raise EstimationError("direction", "both direction phases vanish")
     theta_hat = math.atan2(ay, ax)
     cos_arg = cfg.wavelength / (4 * math.pi) * math.hypot(ax, ay)
     phi_hat = math.acos(min(max(cos_arg, 0.0), 1.0))
@@ -326,7 +311,7 @@ def estimate_pose_from_channel(a: np.ndarray, cfg: SystemConfig) -> PoseEstimate
         raise EstimationError("nonfinite", "recovered channel is not finite")
     partial: dict = {}
     try:
-        r_hat, per_k = estimate_distance(distance_transform(a), cfg)
+        r_hat, _ = estimate_distance(distance_transform(a), cfg)
         partial["r_hat"] = r_hat
         theta_hat, phi_hat, dex, dey, diag_dir = estimate_direction(
             direction_transform(a), cfg)
@@ -338,9 +323,7 @@ def estimate_pose_from_channel(a: np.ndarray, cfg: SystemConfig) -> PoseEstimate
     diagnostics = {**diag_dir, **diag_ori}
     return PoseEstimate(
         r_hat=r_hat, theta_hat=theta_hat, phi_hat=phi_hat,
-        psi_hat=psi_hat, gamma_hat=gamma_hat,
-        delta_ex_hat=dex, delta_ey_hat=dey,
-        per_k_distance=per_k, diagnostics=diagnostics,
+        psi_hat=psi_hat, gamma_hat=gamma_hat, diagnostics=diagnostics,
     )
 
 
@@ -358,4 +341,4 @@ def estimate_pose(y: np.ndarray, cfg: SystemConfig) -> PoseEstimate:
         EstimationError: if any estimation stage fails.
         ValueError: on an observation of the wrong shape.
     """
-    return estimate_pose_from_channel(recover_channel(y, cfg).matrix, cfg)
+    return estimate_pose_from_channel(recover_channel(y, cfg), cfg)

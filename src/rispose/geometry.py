@@ -187,20 +187,17 @@ def near_field_bounds(cfg: SystemConfig) -> tuple[float, float]:
     return r_min, r_max
 
 
-def sample_pose(rng: np.random.Generator, cfg: SystemConfig,
-                r_range: tuple[float, float] | None = None) -> Pose:
+def sample_pose(rng: np.random.Generator, cfg: SystemConfig) -> Pose:
     """Draw a uniform random pose inside the near-field window.
 
     Angles are drawn uniformly from the module-level ranges, the distance
-    uniformly from ``r_range`` (default: ``near_field_bounds(cfg)``).  The
-    draw order is fixed (theta, phi, psi, gamma, r) so a seeded generator
-    yields a reproducible sequence.
+    uniformly from ``near_field_bounds(cfg)``.  The draw order is fixed
+    (theta, phi, psi, gamma, r) so a seeded generator yields a reproducible
+    sequence.
     """
-    if r_range is None:
-        r_range = near_field_bounds(cfg)
     theta = math.radians(rng.uniform(*THETA_RANGE_DEG))
     phi = math.radians(rng.uniform(*PHI_RANGE_DEG))
     psi = math.radians(rng.uniform(*PSI_RANGE_DEG))
     gamma = math.radians(rng.uniform(*GAMMA_RANGE_DEG))
-    r = rng.uniform(*r_range)
+    r = rng.uniform(*near_field_bounds(cfg))
     return Pose(r=r, theta=theta, phi=phi, psi=psi, gamma=gamma)

@@ -36,7 +36,6 @@ NMSE_DEFINITION = ("mean over non-failed trials of ((est - true) / true)^2 "
 class TrialResult:
     """Outcome of a single estimation trial."""
 
-    pose: Pose
     estimate: PoseEstimate | None
     squared_relative_error: dict[str, float] | None
     failed: bool
@@ -104,16 +103,16 @@ def run_trial(cfg: SystemConfig, pose: Pose, snr_db: float, mode: ChannelMode,
     try:
         est = estimate_pose_from_channel(a, cfg)
     except EstimationError as err:
-        return TrialResult(pose=pose, estimate=None, squared_relative_error=None,
+        return TrialResult(estimate=None, squared_relative_error=None,
                            failed=True, stage=err.stage)
     errors = {
         name: ((est_val - true_val) / true_val) ** 2
         for name, est_val, true_val in zip(PARAMS, est.as_tuple(), pose.as_tuple())
     }
     if not all(math.isfinite(v) for v in errors.values()):
-        return TrialResult(pose=pose, estimate=est, squared_relative_error=None,
+        return TrialResult(estimate=est, squared_relative_error=None,
                            failed=True, stage="nonfinite")
-    return TrialResult(pose=pose, estimate=est, squared_relative_error=errors,
+    return TrialResult(estimate=est, squared_relative_error=errors,
                        failed=False)
 
 

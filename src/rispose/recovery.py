@@ -7,29 +7,10 @@ would, from the same noise draw, without forming the observation.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import _noise_std, _pilot_scale, _profile_residues, ris_bs_channel
 from .geometry import SystemConfig
-
-
-@dataclass(frozen=True)
-class RecoveredChannel:
-    """Channel estimate plus bookkeeping from the recovery step.
-
-    Attributes:
-        matrix: recovered (n_ris, k_ue) channel, equal to the true channel
-            plus transformed noise.
-        residual_noise_scale: per-entry std of the post-recovery noise as a
-            multiple of the observation noise std (Frobenius-average gain of
-            the two-sided pseudoinverse).
-    """
-
-    matrix: np.ndarray
-    residual_noise_scale: float
 
 
 def _project(blocks: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -68,7 +49,7 @@ def _invert(w: np.ndarray, cfg: SystemConfig, h_r: np.ndarray) -> np.ndarray:
     return x
 
 
-def recover_channel(y: np.ndarray, cfg: SystemConfig) -> RecoveredChannel:
+def recover_channel(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Least-squares inverse of the sounding in ``observe``, for any P >= N.
 
     The RIS-BS link is ``np.outer(h_b, h_r.conj())`` with unit-modulus
@@ -82,9 +63,8 @@ def recover_channel(y: np.ndarray, cfg: SystemConfig) -> RecoveredChannel:
     that is an inverse FFT over the pilot axis, of which the first K
     columns are kept.  No BLAS routine runs.
 
-    Noiseless observations recover the channel to machine precision; with
-    noise the estimate is channel plus colored noise whose average gain is
-    reported in ``residual_noise_scale``.
+    Noiseless observations recover the (n_ris, k_ue) channel to machine
+    precision; with noise the estimate is the channel plus colored noise.
 
     Raises:
         ValueError: if ``y`` is not (m_bs * p_profiles, l_pilot).
@@ -94,16 +74,12 @@ def recover_channel(y: np.ndarray, cfg: SystemConfig) -> RecoveredChannel:
         raise ValueError(f"expected observation shape {shape}, got {y.shape}")
     h_b, h_r = ris_bs_channel(cfg)
     blocks = y.reshape(cfg.p_profiles, cfg.m_bs, cfg.l_pilot)
-    matrix = _invert(_project(blocks, h_b.conj()), cfg, h_r)
-    _, counts = _profile_residues(cfg)
-    gain = math.sqrt(cfg.k_ue / (cfg.power_w * cfg.m_bs * cfg.n_ris ** 2)
-                     * np.sum(1.0 / counts))
-    return RecoveredChannel(matrix=matrix, residual_noise_scale=gain)
+    return _invert(_project(blocks, h_b.conj()), cfg, h_r)
 
 
 def sound_and_recover(a: np.ndarray, cfg: SystemConfig, snr_db: float,
                       rng: np.random.Generator) -> np.ndarray:
-    """``recover_channel(observe(a, cfg, snr_db, rng), cfg).matrix``, unformed.
+    """``recover_channel(observe(a, cfg, snr_db, rng), cfg)``, unformed.
 
     Recovery is an exact left inverse of the sounding, so that round trip
     is ``a`` plus the recovered noise, and only the noise is computed:

@@ -148,7 +148,7 @@ def check_pinv_paths(cfg: SystemConfig) -> CheckResult:
         c = replace(cfg, p_profiles=p)
         shape = (c.m_bs * p, c.l_pilot)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        diff = recover_channel(y, c).matrix - dense_recovery(y, c)
+        diff = recover_channel(y, c) - dense_recovery(y, c)
         worst = max(worst, float(np.abs(diff).max()))
     return _result("closed-form vs dense pinv recovery", worst, TOL_OPERATOR)
 
@@ -163,7 +163,7 @@ def check_noiseless_recovery(cfg: SystemConfig, pose: Pose) -> CheckResult:
         a = ris_ue_channel(pose, cfg, mode)
         y = observe(a, cfg, math.inf, rng)
         worst = max(worst, float(np.abs(y - hbar @ a @ s).max()),
-                    float(np.abs(recover_channel(y, cfg).matrix - a).max()))
+                    float(np.abs(recover_channel(y, cfg) - a).max()))
     return _result("noiseless channel recovery", worst, TOL_OPERATOR)
 
 

@@ -119,9 +119,3 @@ def test_sample_pose_ranges_and_determinism(cfg):
     poses2 = [sample_pose(rng2, cfg) for _ in range(200)]
     assert poses == poses2
 
-
-def test_sample_pose_r_range_override(cfg):
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        pose = sample_pose(rng, cfg, r_range=(2.0, 2.5))
-        assert 2.0 <= pose.r <= 2.5

@@ -65,8 +65,7 @@ def test_run_trial_survives_heavy_noise(cfg, pose):
 
 def test_run_trial_flags_nonfinite_estimates(cfg, pose, monkeypatch):
     fake = PoseEstimate(r_hat=2.5, theta_hat=math.nan, phi_hat=0.6,
-                        psi_hat=1.9, gamma_hat=0.8, delta_ex_hat=1j,
-                        delta_ey_hat=1j, per_k_distance=np.zeros(4))
+                        psi_hat=1.9, gamma_hat=0.8)
     monkeypatch.setattr(mc_mod, "estimate_pose_from_channel", lambda *a, **k: fake)
     result = run_trial(cfg, pose, math.inf, ChannelMode.FRESNEL,
                        np.random.default_rng(0))
