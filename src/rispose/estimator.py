@@ -157,6 +157,11 @@ def orientation_shifts(pose: Pose, k: int,
     return complex(gx), complex(gy)
 
 
+def _nearest_branch(phase: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """``phase`` moved by whole turns to the branch nearest ``predicted``."""
+    return phase + 2 * np.pi * np.round((predicted - phase) / (2 * np.pi))
+
+
 def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> tuple[float, np.ndarray]:
     """Distance from the distance transform ``b``, shape (n_ris, k_ue).
 
@@ -188,9 +193,7 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> tuple[float, np.ndarr
         if np.isfinite(ph) and ph != 0.0 and coeff[idx] / ph > 0:
             coarse.append(coeff[idx] / ph)
     if coarse:
-        r_coarse = float(np.mean(coarse))
-        predicted = coeff / r_coarse
-        phases = phases + 2 * np.pi * np.round((predicted - phases) / (2 * np.pi))
+        phases = _nearest_branch(phases, coeff / float(np.mean(coarse)))
 
     valid = np.isfinite(phases) & (phases != 0.0)
     per_k = np.full(k_ue - 1, np.nan)
@@ -250,7 +253,10 @@ def estimate_orientation(
 
     For each off-center antenna k, the x/y shift ratios are divided by the
     direction ratios to leave pure orientation phases that scale with
-    ``k / r``.  Each k yields an azimuth (sign-corrected so negative k does
+    ``k / r``.  The |k| = 1 antennas, whose phases cannot wrap inside the
+    near field, give the slope in k; every phase is unwrapped to the branch
+    nearest k times that slope (left as is if neither |k| = 1 antenna was
+    fitted).  Each k yields an azimuth (sign-corrected so negative k does
     not flip the quadrant) and an elevation.  The azimuths are averaged on
     the circle, the elevations arithmetically.
 
@@ -267,9 +273,15 @@ def estimate_orientation(
     off_center = k != 0
     cols = np.flatnonzero(off_center & np.isfinite(gx) & np.isfinite(gy))
     skipped = int(np.count_nonzero(off_center)) - cols.size
-    sgn = np.sign(k[cols])
-    alpha_x = np.angle(gx[cols] / delta_ex) / cfg.d_x
-    alpha_y = np.angle(gy[cols] / delta_ey) / cfg.d_y
+    kc = k[cols]
+    sgn = np.sign(kc)
+    phases = np.angle(np.stack([gx[cols] / delta_ex, gy[cols] / delta_ey]))
+    inner = np.abs(kc) == 1
+    if inner.any():
+        slope = (phases[:, inner] * sgn[inner]).mean(axis=1)
+        phases = _nearest_branch(phases, slope[:, None] * kc)
+    alpha_x = phases[0] / cfg.d_x
+    alpha_y = phases[1] / cfg.d_y
     # exact zeros carry no azimuth information; averaging atan2(0, 0)
     # would silently bias the mean toward zero
     has_azimuth = (alpha_x != 0.0) | (alpha_y != 0.0)
@@ -277,7 +289,7 @@ def estimate_orientation(
         raise EstimationError(
             "orientation", "orientation phases unidentifiable for every antenna")
     psi = np.arctan2(sgn * alpha_y, sgn * alpha_x)[has_azimuth]
-    cos_args = (cfg.wavelength * r_hat / (4 * math.pi * np.abs(k[cols]) * cfg.d_u)
+    cos_args = (cfg.wavelength * r_hat / (4 * math.pi * np.abs(kc) * cfg.d_u)
                 * np.hypot(alpha_x, alpha_y))
     gamma = np.arccos(np.clip(cos_args, 0.0, 1.0))
     psi_per_k = np.full(cfg.k_ue, np.nan)

@@ -366,6 +366,21 @@ def test_orientation_azimuth_near_pi_does_not_wrap(cfg):
     assert np.mean(errors) < 1e-3
 
 
+def test_orientation_phases_unwrap_at_short_range():
+    # at N = 49 the outer antennas' orientation phase exceeds pi near the
+    # lower near-field edge; noiseless Fresnel must still be exact over the
+    # whole pose box
+    for k_ue in (11, 15):
+        cfg = SystemConfig(n_x=7, n_y=7, k_ue=k_ue)
+        worst = 0.0
+        for t in range(400):
+            pose = sample_pose(np.random.default_rng([5, t]), cfg)
+            est = estimate_pose_from_channel(fresnel(pose, cfg), cfg)
+            worst = max(worst, max(abs(got - true) / true
+                                   for got, true in zip(est.as_tuple(), pose.as_tuple())))
+        assert worst < 1e-6, (k_ue, worst)
+
+
 def test_orientation_near_vertical_is_continuous(cfg):
     pose = Pose(r=3.0, theta=math.radians(60), phi=math.radians(40),
                 psi=math.radians(120), gamma=math.pi / 2 - 1e-6)
