@@ -16,7 +16,7 @@ import numpy as np
 from .channel import ChannelMode
 from .config import ConfigError, RunConfig, load_config
 from .geometry import Pose, near_field_bounds, sample_pose
-from .montecarlo import run_sweep, run_trial
+from .montecarlo import pose_seed, run_sweep, run_trial, trial_seed
 from .validate import run_validation
 
 
@@ -57,8 +57,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if args.pose:
             pose = _parse_pose_arg(args.pose)
         else:
-            pose = sample_pose(np.random.default_rng(
-                np.random.SeedSequence([rc.master_seed])), cfg)
+            # this pose and the noise below are trial 0 of a one-point SNR sweep
+            pose = sample_pose(np.random.default_rng(pose_seed(rc.master_seed, 0)), cfg)
     except (ConfigError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -67,7 +67,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print(f"warning: r = {pose.r:.4g} m outside the near-field window "
               f"[{r_min:.4g}, {r_max:.4g}] m; estimates may be biased",
               file=sys.stderr)
-    rng = np.random.default_rng(np.random.SeedSequence([rc.master_seed]))
+    rng = np.random.default_rng(trial_seed(rc.master_seed, "snr_db", rc.snr_db, 0))
     result = run_trial(cfg, pose, rc.snr_db, rc.mode, rng)
     report = {
         "mode": rc.mode.value,

@@ -101,6 +101,13 @@ class SystemConfig:
         if not all(math.isfinite(v) for v in window):
             raise ValueError("the near-field window of this RIS aperture and "
                              "wavelength overflows a float")
+        # the same rule for the UE array: its far-field distance
+        # 2 ((k_ue - 1) d_u)^2 / wavelength must be finite (x * x gives inf
+        # where x ** 2 would raise)
+        ue_aperture = (self.k_ue - 1) * self.d_u
+        if not math.isfinite(2.0 * ue_aperture * ue_aperture / self.wavelength):
+            raise ValueError(f"d_u = {self.d_u!r}: the far-field distance of this "
+                             f"UE array and wavelength overflows a float")
 
     @property
     def n_ris(self) -> int:

@@ -12,7 +12,8 @@ from rispose.channel import ChannelMode
 from rispose.cli import main
 from rispose.config import ConfigError, RunConfig, parse_config
 from rispose.estimator import distance_shift
-from rispose.montecarlo import PARAMS, TrialResult
+from rispose.geometry import SystemConfig
+from rispose.montecarlo import PARAMS, TrialResult, run_sweep
 from rispose.validate import run_validation
 
 COMPACT = """\
@@ -61,6 +62,8 @@ format = json
 def test_parse_empty_equals_defaults():
     assert parse_config("") == RunConfig()
     assert parse_config("# only a comment\n\n") == RunConfig()
+    # RunConfig and SystemConfig each write the system defaults
+    assert RunConfig().system() == SystemConfig()
 
 
 def test_parse_full_and_round_trip():
@@ -113,16 +116,19 @@ def test_invalid_settings_rejected():
             parse_config(text)
     assert parse_config("snr_db = inf\n").snr_db == math.inf
     # lengths, power and angles must be finite, and so must the power in
-    # watts and the near-field window
+    # watts, the near-field window and the UE array's far-field distance
     for text, key in (("power_dbm = 4000\n", "power_dbm"),
                       ("power_dbm = inf\n", "power_w"), ("d_x = inf\n", "d_x"),
                       ("wavelength = nan\n", "wavelength"),
                       ("theta_bs_deg = inf\n", "theta_bs"),
                       ("phi_ris_deg = nan\n", "phi_ris"),
                       ("d_x = 1e200\n", "near-field"),
-                      ("wavelength = 1e-320\n", "near-field")):
+                      ("wavelength = 1e-320\n", "near-field"),
+                      ("d_u = 1e154\n", "d_u"), ("d_u = 1e300\n", "d_u")):
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
+    # the UE far-field distance is finite just below the overflow
+    assert parse_config("d_u = 1e152\n").d_u == 1e152
 
 
 def test_system_unit_conversion():
@@ -169,6 +175,18 @@ def test_cli_estimate_sampled_pose(compact_cfg_file, capsys):
     assert "estimate" in report
 
 
+def test_cli_estimate_is_trial_zero_of_snr_sweep(compact_cfg_file, capsys):
+    # estimate --seed s --snr-db x draws the pose and the noise of trial 0
+    # of a one-point SNR sweep, from two distinct streams
+    assert main(["estimate", "--config", compact_cfg_file, "--seed", "5",
+                 "--snr-db", "10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rc = parse_config(COMPACT)
+    table = run_sweep(rc.system(), {"snr_db": [10.0]}, trials=1, master_seed=5,
+                      mode=rc.mode)
+    assert report["sq_rel_err"] == {row.param: row.nmse for row in table.rows}
+
+
 def test_cli_estimate_out_of_window_warns(compact_cfg_file, capsys):
     code = main(["estimate", "--config", compact_cfg_file,
                  "--pose", "100,70,35,110,45"])
@@ -204,7 +222,8 @@ def test_cli_estimate_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["estimate", "--snr-db", "nan"]) == 2
     assert main(["estimate", "--snr-db=-inf"]) == 2
     for text in ("power_dbm = 4000\n", "power_dbm = inf\n", "d_x = inf\n",
-                 "theta_bs_deg = inf\n", "d_x = 1e200\n"):
+                 "theta_bs_deg = inf\n", "d_x = 1e200\n", "d_u = 1e154\n",
+                 "d_u = 1e300\n"):
         bad.write_text(text)
         assert main(["estimate", "--config", str(bad)]) == 2
     capsys.readouterr()
