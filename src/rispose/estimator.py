@@ -56,6 +56,7 @@ class PoseEstimate:
         return (self.r_hat, self.theta_hat, self.phi_hat,
                 self.psi_hat, self.gamma_hat)
 
+
 def distance_transform(a: np.ndarray) -> np.ndarray:
     """a * a with columns flipped; rows gain a column-pair distance ratio."""
     return a * a[:, ::-1]
