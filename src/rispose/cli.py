@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,14 +26,10 @@ def _load(path: str | None) -> RunConfig:
 
 
 def _apply_overrides(rc: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for attr, key in (("snr_db", "snr_db"), ("seed", "master_seed"),
-                      ("trials", "trials"), ("mode", "mode"),
-                      ("out", "out"), ("format", "out_format")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(rc, key, value)
-    rc.__post_init__()  # re-validate after overrides
-    return rc
+    flags = {"snr_db": "snr_db", "seed": "master_seed", "trials": "trials",
+             "mode": "mode", "out": "out", "format": "out_format"}
+    return replace(rc, **{key: getattr(args, attr) for attr, key in flags.items()
+                          if getattr(args, attr, None) is not None})
 
 
 def _parse_pose_arg(text: str) -> Pose:
@@ -53,7 +50,7 @@ def _pose_degrees(values: tuple[float, ...]) -> dict[str, float]:
 def cmd_estimate(args: argparse.Namespace) -> int:
     try:
         rc = _apply_overrides(_load(args.config), args)
-        cfg = rc.system()
+        cfg = rc.system
         if args.pose:
             pose = _parse_pose_arg(args.pose)
         else:
@@ -96,12 +93,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (ConfigError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    grid = rc.sweep_grid()
-    if not grid:
+    if not any(rc.grid.values()):
         print("error: no sweep axis configured (set sweep_snr_db, sweep_n, "
               "sweep_k, or sweep_p)", file=sys.stderr)
         return 2
-    table = run_sweep(rc.system(), grid, rc.trials, rc.master_seed,
+    table = run_sweep(rc.system, rc.grid, rc.trials, rc.master_seed,
                       snr_db=rc.snr_db, mode=rc.mode)
     if rc.out_format == "json":
         text = json.dumps(table.to_json_obj(), indent=2) + "\n"

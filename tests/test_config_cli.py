@@ -63,25 +63,25 @@ def test_parse_empty_equals_defaults():
     assert parse_config("") == RunConfig()
     assert parse_config("# only a comment\n\n") == RunConfig()
     # RunConfig and SystemConfig each write the system defaults
-    assert RunConfig().system() == SystemConfig()
+    assert RunConfig().system == SystemConfig()
 
 
 def test_parse_full_and_round_trip():
     rc = parse_config(FULL)
     assert rc.mode is ChannelMode.FRESNEL
     assert rc.snr_db == math.inf
-    assert rc.sweep_snr_db == [0.0, 10.5, 20.0]
+    assert rc.grid["snr_db"] == [0.0, 10.5, 20.0]
     assert rc.out_format == "json"
 
 
 def test_parse_inline_comments_and_spacing():
     rc = parse_config("m = 5   # BS antennas\n\n  trials=7\n")
-    assert rc.m == 5 and rc.trials == 7
+    assert rc.system.m_bs == 5 and rc.trials == 7
 
 
 def test_profile_count_defaults_to_ris_size():
     rc = parse_config("n_x = 5\nn_y = 7\nk = 5\nl = 8\n")
-    assert rc.p == 35
+    assert rc.system.p_profiles == 35
 
 
 def test_parse_error_line_numbers():
@@ -128,20 +128,20 @@ def test_invalid_settings_rejected():
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
     # the UE far-field distance is finite just below the overflow
-    assert parse_config("d_u = 1e152\n").d_u == 1e152
+    assert parse_config("d_u = 1e152\n").system.d_u == 1e152
 
 
 def test_system_unit_conversion():
     rc = parse_config("power_dbm = 40.0\ntheta_bs_deg = 30.0\n")
-    cfg = rc.system()
+    cfg = rc.system
     assert cfg.power_w == pytest.approx(10.0, rel=1e-12)
     assert cfg.theta_bs == pytest.approx(math.radians(30.0), abs=1e-15)
 
 
 def test_sweep_grid_contents():
-    assert RunConfig().sweep_grid() == {}
+    assert RunConfig().grid == {}
     rc = parse_config("sweep_k = 5, 7\nsweep_snr_db = 10\n")
-    assert rc.sweep_grid() == {"snr_db": [10.0], "K": [5, 7]}
+    assert rc.grid == {"snr_db": [10.0], "K": [5, 7]}
 
 
 # ----------------------------------------------------------------------- CLI
@@ -182,7 +182,7 @@ def test_cli_estimate_is_trial_zero_of_snr_sweep(compact_cfg_file, capsys):
                  "--snr-db", "10"]) == 0
     report = json.loads(capsys.readouterr().out)
     rc = parse_config(COMPACT)
-    table = run_sweep(rc.system(), {"snr_db": [10.0]}, trials=1, master_seed=5,
+    table = run_sweep(rc.system, {"snr_db": [10.0]}, trials=1, master_seed=5,
                       mode=rc.mode)
     assert report["sq_rel_err"] == {row.param: row.nmse for row in table.rows}
 
