@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .channel import ChannelMode
 from .geometry import SystemConfig
+from .montecarlo import grid_points
 
 
 class ConfigError(Exception):
@@ -68,7 +69,9 @@ _KEYS = {key: (dest, *entry) for dest, table in (
 class RunConfig:
     """Full run description: system parameters plus simulation knobs.
 
-    ``grid`` maps sweep axes to values in ``run_sweep``'s grid form.
+    ``grid`` maps sweep axes to values in ``run_sweep``'s grid form.  Each
+    grid point's config is built here, so a bad sweep value fails before
+    any trial runs.
     """
 
     system: SystemConfig = SystemConfig()
@@ -101,6 +104,10 @@ class RunConfig:
             if math.isnan(value) or value == -math.inf:
                 raise ConfigError(f"snr_db values must be numbers above -inf, "
                                   f"got {value!r}")
+        try:
+            grid_points(self.system, self.grid)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
 
 def parse_config(text: str) -> RunConfig:

@@ -163,7 +163,7 @@ def _nearest_branch(phase: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     return phase + 2 * np.pi * np.round((predicted - phase) / (2 * np.pi))
 
 
-def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> tuple[float, np.ndarray]:
+def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> float:
     """Distance from the distance transform ``b``, shape (n_ris, k_ue).
 
     Each adjacent column pair (k, k+1) yields a phase whose model value is
@@ -172,10 +172,6 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> tuple[float, np.ndarr
     give a coarse distance; the remaining phases are unwrapped to the branch
     nearest their model prediction before inverting.  The estimate is the
     mean of the per-pair distances.
-
-    Returns:
-        (r_hat, per-pair distance array of length k_ue - 1, NaN where a pair
-        was excluded).
     """
     n, k_ue = b.shape
     if n != cfg.n_ris or k_ue != cfg.k_ue:
@@ -197,16 +193,13 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> tuple[float, np.ndarr
         phases = _nearest_branch(phases, coeff / float(np.mean(coarse)))
 
     valid = np.isfinite(phases) & (phases != 0.0)
-    per_k = np.full(k_ue - 1, np.nan)
-    per_k[valid] = coeff[valid] / phases[valid]
     if not valid.any():
         raise EstimationError("distance", "every column-pair phase was zero or "
                               "unidentifiable (infinite-distance indication)")
-    r_hat = float(np.mean(per_k[valid]))
+    r_hat = float(np.mean(coeff[valid] / phases[valid]))
     if not (math.isfinite(r_hat) and r_hat > 0):
-        raise EstimationError("distance", f"non-physical distance {r_hat!r}",
-                              partial={"per_k_distance": per_k})
-    return r_hat, per_k
+        raise EstimationError("distance", f"non-physical distance {r_hat!r}")
+    return r_hat
 
 
 def estimate_direction(
@@ -324,7 +317,7 @@ def estimate_pose_from_channel(a: np.ndarray, cfg: SystemConfig) -> PoseEstimate
         raise EstimationError("nonfinite", "recovered channel is not finite")
     partial: dict = {}
     try:
-        r_hat, _ = estimate_distance(distance_transform(a), cfg)
+        r_hat = estimate_distance(distance_transform(a), cfg)
         partial["r_hat"] = r_hat
         theta_hat, phi_hat, dex, dey, diag_dir = estimate_direction(
             direction_transform(a), cfg)

@@ -34,12 +34,15 @@ NMSE_DEFINITION = ("mean over non-failed trials of ((est - true) / true)^2 "
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Outcome of a single estimation trial."""
+    """Outcome of a single estimation trial; ``stage`` names where it failed."""
 
     estimate: PoseEstimate | None
     squared_relative_error: dict[str, float] | None
-    failed: bool
     stage: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.stage is not None
 
 
 @dataclass(frozen=True)
@@ -104,16 +107,15 @@ def run_trial(cfg: SystemConfig, pose: Pose, snr_db: float, mode: ChannelMode,
         est = estimate_pose_from_channel(a, cfg)
     except EstimationError as err:
         return TrialResult(estimate=None, squared_relative_error=None,
-                           failed=True, stage=err.stage)
+                           stage=err.stage)
     errors = {
         name: ((est_val - true_val) / true_val) ** 2
         for name, est_val, true_val in zip(PARAMS, est.as_tuple(), pose.as_tuple())
     }
     if not all(math.isfinite(v) for v in errors.values()):
         return TrialResult(estimate=est, squared_relative_error=None,
-                           failed=True, stage="nonfinite")
-    return TrialResult(estimate=est, squared_relative_error=errors,
-                       failed=False)
+                           stage="nonfinite")
+    return TrialResult(estimate=est, squared_relative_error=errors)
 
 
 def trial_seed(master_seed: int, axis: str, value, trial: int) -> np.random.SeedSequence:
@@ -151,6 +153,23 @@ def _config_for(cfg_base: SystemConfig, axis: str, value) -> tuple[SystemConfig,
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
+def grid_points(cfg_base: SystemConfig, grid: dict[str, list]) -> list[tuple]:
+    """Every point of a sweep grid in fixed axis order, with its config.
+
+    Returns:
+        (axis, value, config, snr override or None) per grid point.
+
+    Raises:
+        ValueError: on an unknown axis, or a value whose grid-point config
+            the axis or ``SystemConfig`` rejects.
+    """
+    unknown = set(grid) - set(AXIS_CODES)
+    if unknown:
+        raise ValueError(f"unknown sweep axes {sorted(unknown)}")
+    return [(axis, value, *_config_for(cfg_base, axis, value))
+            for axis in AXIS_CODES for value in grid.get(axis, [])]
+
+
 def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
               master_seed: int, snr_db: float = 15.0,
               mode: ChannelMode = ChannelMode.EXACT,
@@ -172,12 +191,14 @@ def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
     Returns:
         NmseTable with one row per (axis, value, parameter), in fixed axis
         order regardless of dict ordering, plus run metadata.
+
+    Raises:
+        ValueError: on an empty grid, a bad grid point (see ``grid_points``;
+            checked before any trial runs) or ``trials < 1``.
     """
     if not grid or not any(grid.get(axis) for axis in AXIS_CODES):
         raise ValueError("sweep grid is empty")
-    unknown = set(grid) - set(AXIS_CODES)
-    if unknown:
-        raise ValueError(f"unknown sweep axes {sorted(unknown)}")
+    points = grid_points(cfg_base, grid)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
@@ -189,31 +210,29 @@ def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
         "snr_db": snr_db,
         "fixed_pose": list(fixed_pose.as_tuple()) if fixed_pose else None,
     })
-    for axis in AXIS_CODES:
-        for value in grid.get(axis, []):
-            cfg, snr_override = _config_for(cfg_base, axis, value)
-            point_snr = snr_override if snr_override is not None else snr_db
-            sums = {p: 0.0 for p in PARAMS}
-            failures = 0
-            for t in range(trials):
-                rng = np.random.default_rng(trial_seed(master_seed, axis, value, t))
-                if fixed_pose is not None:
-                    pose = fixed_pose
-                else:
-                    pose = sample_pose(
-                        np.random.default_rng(pose_seed(master_seed, t)), cfg)
-                result = run_trial(cfg, pose, point_snr, mode, rng)
-                if result.failed:
-                    failures += 1
-                    continue
-                for p in PARAMS:
-                    sums[p] += result.squared_relative_error[p]
-            ok = trials - failures
+    for axis, value, cfg, snr_override in points:
+        point_snr = snr_override if snr_override is not None else snr_db
+        sums = {p: 0.0 for p in PARAMS}
+        failures = 0
+        for t in range(trials):
+            rng = np.random.default_rng(trial_seed(master_seed, axis, value, t))
+            if fixed_pose is not None:
+                pose = fixed_pose
+            else:
+                pose = sample_pose(
+                    np.random.default_rng(pose_seed(master_seed, t)), cfg)
+            result = run_trial(cfg, pose, point_snr, mode, rng)
+            if result.failed:
+                failures += 1
+                continue
             for p in PARAMS:
-                nmse = sums[p] / ok if ok > 0 else math.nan
-                table.rows.append(NmseRow(
-                    sweep_var=axis, sweep_value=float(value), param=p,
-                    nmse=nmse, trials=trials, failures=failures,
-                    seed=master_seed,
-                ))
+                sums[p] += result.squared_relative_error[p]
+        ok = trials - failures
+        for p in PARAMS:
+            nmse = sums[p] / ok if ok > 0 else math.nan
+            table.rows.append(NmseRow(
+                sweep_var=axis, sweep_value=float(value), param=p,
+                nmse=nmse, trials=trials, failures=failures,
+                seed=master_seed,
+            ))
     return table

@@ -129,6 +129,12 @@ def test_invalid_settings_rejected():
             parse_config(text)
     # the UE far-field distance is finite just below the overflow
     assert parse_config("d_u = 1e152\n").system.d_u == 1e152
+    # every sweep value must give a valid grid-point config
+    for text, match in (("sweep_n = 50\n", "odd square"), ("sweep_k = 4\n", "k_ue"),
+                        ("sweep_p = 10\n", "p_profiles"),
+                        ("sweep_snr_db = 10\nsweep_k = 4\n", "k_ue")):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
 
 
 def test_system_unit_conversion():
@@ -199,7 +205,7 @@ def test_cli_estimate_out_of_window_warns(compact_cfg_file, capsys):
 def test_cli_estimate_failure_exit_code(compact_cfg_file, capsys, monkeypatch):
     def fake_trial(cfg, pose, snr_db, mode, rng):
         return TrialResult(estimate=None, squared_relative_error=None,
-                           failed=True, stage="distance")
+                           stage="distance")
 
     monkeypatch.setattr(cli_mod, "run_trial", fake_trial)
     code = main(["estimate", "--config", compact_cfg_file,
@@ -263,6 +269,14 @@ def test_cli_sweep_without_axis_exit_2(compact_cfg_file, capsys):
     assert "no sweep axis" in capsys.readouterr().err
 
 
+def test_cli_sweep_empty_axis_list_exit_2(tmp_path, capsys):
+    # an empty value list adds no axis
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(COMPACT + "sweep_n =\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "no sweep axis" in capsys.readouterr().err
+
+
 def test_cli_sweep_undefined_snr_exit_2(tmp_path, capsys):
     # a -inf grid point used to abort the whole sweep with a ValueError, and
     # a NaN operating SNR ran noiseless
@@ -274,6 +288,15 @@ def test_cli_sweep_undefined_snr_exit_2(tmp_path, capsys):
     k_axis.write_text(COMPACT + "sweep_k = 5\n" + out)
     assert main(["sweep", "--config", str(k_axis), "--snr-db", "nan"]) == 2
     assert capsys.readouterr().err.count("snr_db") == 2
+    # a sweep value no grid-point config accepts fails before the first
+    # trial, also behind a valid axis
+    for axes, match in (("sweep_n = 50\n", "odd square"), ("sweep_k = 4\n", "k_ue"),
+                        ("sweep_p = 10\n", "p_profiles"),
+                        ("sweep_snr_db = 10\nsweep_k = 4\n", "k_ue")):
+        bad_axis = tmp_path / "bad_axis.cfg"
+        bad_axis.write_text(COMPACT + axes + out)
+        assert main(["sweep", "--config", str(bad_axis)]) == 2
+        assert match in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -198,7 +198,11 @@ def test_run_sweep_all_failed_point(cfg, monkeypatch):
         assert math.isnan(row.nmse)
 
 
-def test_run_sweep_input_validation(cfg):
+def test_run_sweep_input_validation(cfg, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("run_trial called before the grid was checked")
+
+    monkeypatch.setattr(mc_mod, "run_trial", no_trial)
     with pytest.raises(ValueError):
         run_sweep(cfg, {}, trials=2, master_seed=1)
     with pytest.raises(ValueError):
@@ -209,6 +213,10 @@ def test_run_sweep_input_validation(cfg):
         run_sweep(cfg, {"N": [120]}, trials=2, master_seed=1)  # not odd square
     with pytest.raises(ValueError):
         run_sweep(cfg, {"snr_db": [10.0]}, trials=0, master_seed=1)
+    # every grid point's config is built before the first trial
+    for grid in ({"K": [4]}, {"P": [10]}, {"snr_db": [10.0], "K": [5, 4]}):
+        with pytest.raises(ValueError):
+            run_sweep(cfg, grid, trials=2, master_seed=1)
 
 
 def test_run_sweep_n_axis_resizes_ris(cfg):
