@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ import pytest
 import rispose.cli as cli_mod
 from rispose.channel import ChannelMode
 from rispose.cli import main
-from rispose.config import ConfigError, RunConfig, parse_config
+from rispose.config import (_RUN_KEYS, _SWEEP_KEYS, _SYSTEM_KEYS, ConfigError,
+                            RunConfig, parse_config)
 from rispose.estimator import distance_shift
 from rispose.geometry import SystemConfig
 from rispose.montecarlo import PARAMS, TrialResult, run_sweep
@@ -72,6 +75,20 @@ def test_parse_full_and_round_trip():
     assert rc.snr_db == math.inf
     assert rc.grid["snr_db"] == [0.0, 10.5, 20.0]
     assert rc.out_format == "json"
+
+
+def test_documented_keys_match_parser():
+    # FULL and README's key table each list exactly the accepted keys
+    accepted = set(_SYSTEM_KEYS) | set(_SWEEP_KEYS) | set(_RUN_KEYS)
+    assert len(accepted) == 25
+    full = [line.split("=")[0].strip() for line in FULL.splitlines()
+            if not line.startswith("#")]
+    assert sorted(full) == sorted(accepted)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    table = readme.split("All keys with defaults:", 1)[1].split("\n\n")[1]
+    documented = [key for row in table.splitlines()[2:]
+                  for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(documented) == sorted(accepted)
 
 
 def test_parse_inline_comments_and_spacing():
