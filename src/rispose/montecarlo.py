@@ -196,9 +196,9 @@ def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
         ValueError: on an empty grid, a bad grid point (see ``grid_points``;
             checked before any trial runs) or ``trials < 1``.
     """
-    if not grid or not any(grid.get(axis) for axis in AXIS_CODES):
-        raise ValueError("sweep grid is empty")
     points = grid_points(cfg_base, grid)
+    if not points:
+        raise ValueError("sweep grid is empty")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
