@@ -16,8 +16,8 @@ from .estimator import (EstimationError, PoseEstimate, direction_transform,
                         estimate_orientation, estimate_pose,
                         estimate_pose_from_channel, orientation_transform,
                         tls_phase_ratio)
-from .geometry import (Pose, SystemConfig, near_field_bounds, ris_element_grid,
-                       sample_pose, unit_direction)
+from .geometry import (Pose, SystemConfig, near_field_bounds, sample_pose,
+                       unit_direction)
 from .montecarlo import (NmseRow, NmseTable, TrialResult, pose_seed, run_sweep,
                          run_trial, trial_seed)
 from .recovery import recover_channel, sound_and_recover
@@ -32,7 +32,7 @@ __all__ = [
     "estimate_distance", "estimate_orientation", "estimate_pose",
     "estimate_pose_from_channel", "load_config", "near_field_bounds", "observe",
     "orientation_transform", "parse_config", "pilot_matrix", "pose_seed",
-    "recover_channel", "ris_bs_channel", "ris_element_grid", "ris_profiles",
-    "ris_ue_channel", "run_sweep", "run_trial", "run_validation", "sample_pose",
+    "recover_channel", "ris_bs_channel", "ris_profiles", "ris_ue_channel",
+    "run_sweep", "run_trial", "run_validation", "sample_pose",
     "sound_and_recover", "tls_phase_ratio", "trial_seed", "unit_direction",
 ]

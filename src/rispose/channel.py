@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .geometry import Pose, SystemConfig, ris_element_grid, unit_direction
+from .geometry import Pose, SystemConfig, unit_direction
 
 
 class ChannelMode(enum.Enum):
@@ -26,10 +26,12 @@ def ris_ue_channel(pose: Pose, cfg: SystemConfig, mode: ChannelMode) -> np.ndarr
     """Near-field RIS-UE channel matrix, shape (n_ris, k_ue), complex.
 
     Entry (i, k) is ``exp(-j 2 pi (r_ik - r) / wavelength)`` where ``r_ik``
-    is the distance from RIS element i to UE antenna k and ``r`` the
-    reference distance.  In FRESNEL mode ``r_ik`` is replaced by its
-    second-order expansion in 1/r, which is the model the estimators invert
-    exactly.  EXACT mode keeps the true Euclidean distances.
+    is the distance from RIS element i at ``s`` to UE antenna k at
+    ``r e + u g`` (``u = k d_u``) and ``r`` the reference distance.  EXACT
+    mode, the default of ``run_sweep`` and the CLI, keeps true distances.
+    FRESNEL mode drops the ``-(u e.g - e.s)^2 / (2 r)`` term from the
+    expansion of ``r_ik - r`` to first order in 1/r; the estimators invert
+    it exactly, and are biased on EXACT channels unless ``e.g`` is near 0.
 
     Args:
         pose: user pose.
@@ -37,37 +39,33 @@ def ris_ue_channel(pose: Pose, cfg: SystemConfig, mode: ChannelMode) -> np.ndarr
         mode: distance model.
 
     Returns:
-        Complex matrix with rows in linear element order (y varying fastest)
-        and columns in antenna order -k_half ... k_half.
+        Complex matrix with rows in linear element order (x-major, y varying
+        fastest) and columns in antenna order -k_half ... k_half.
     """
-    n_idx, m_idx = ris_element_grid(cfg)
-    sx = n_idx * cfg.d_x
-    sy = m_idx * cfg.d_y
-    k = cfg.antenna_offsets()
+    # element coordinates on the two grid axes, antenna offsets on the last
+    sx = (np.arange(cfg.n_x) - cfg.n_x // 2)[:, None, None] * cfg.d_x
+    sy = (np.arange(cfg.n_y) - cfg.n_y // 2)[None, :, None] * cfg.d_y
+    ku = cfg.antenna_offsets() * cfg.d_u
     e = unit_direction(pose.theta, pose.phi)
     g = unit_direction(pose.psi, pose.gamma)
 
     if mode is ChannelMode.EXACT:
-        # q_k: (K, 3) antenna positions; s: (N, 3) element positions
-        q = pose.r * e[None, :] + (k * cfg.d_u)[:, None] * g[None, :]
-        s = np.stack([sx, sy, np.zeros_like(sx)], axis=1)
-        diff = q[None, :, :] - s[:, None, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        excess = dist - pose.r
+        # antenna positions r e + u g, one coordinate array per axis
+        qx, qy, qz = pose.r * e[:, None] + g[:, None] * ku
+        excess = np.sqrt((qx - sx) ** 2 + (qy - sy) ** 2 + qz ** 2) - pose.r
     elif mode is ChannelMode.FRESNEL:
-        ku = k * cfg.d_u  # (K,)
-        s_sq = sx * sx + sy * sy  # (N,)
+        s_sq = sx * sx + sy * sy
         e_dot_s = e[0] * sx + e[1] * sy
         g_dot_s = g[0] * sx + g[1] * sy
         e_dot_g = float(e[0] * g[0] + e[1] * g[1] + e[2] * g[2])
         excess = (
-            (ku[None, :] ** 2 + s_sq[:, None]) / (2 * pose.r)
-            + ku[None, :] * (e_dot_g - g_dot_s[:, None] / pose.r)
-            - e_dot_s[:, None]
+            (ku ** 2 + s_sq) / (2 * pose.r)
+            + ku * (e_dot_g - g_dot_s / pose.r)
+            - e_dot_s
         )
     else:
         raise ValueError(f"unknown channel mode {mode!r}")
-    return np.exp(-2j * np.pi * excess / cfg.wavelength)
+    return np.exp(-2j * np.pi * excess.reshape(cfg.n_ris, -1) / cfg.wavelength)
 
 
 def _steering(count: int, zeta: float, wavelength: float) -> np.ndarray:

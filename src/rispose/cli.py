@@ -47,6 +47,19 @@ def _pose_degrees(values: tuple[float, ...]) -> dict[str, float]:
             "psi": math.degrees(psi), "gamma": math.degrees(gamma)}
 
 
+def _json_text(obj) -> str:
+    """Standard JSON; a non-finite float is the string the CSV writes ("inf", "nan")."""
+    def finite(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return repr(float(v))
+        if isinstance(v, dict):
+            return {key: finite(x) for key, x in v.items()}
+        if isinstance(v, list):
+            return [finite(x) for x in v]
+        return v
+    return json.dumps(finite(obj), indent=2, allow_nan=False)
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     try:
         rc = _apply_overrides(_load(args.config), args)
@@ -78,12 +91,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if result.failed:
         report["failed"] = True
         report["stage"] = result.stage
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
         print(f"estimation failed at stage: {result.stage}", file=sys.stderr)
         return 1
     report["estimate"] = _pose_degrees(result.estimate.as_tuple())
     report["sq_rel_err"] = result.squared_relative_error
-    print(json.dumps(report, indent=2))
+    print(_json_text(report))
     return 0
 
 
@@ -100,7 +113,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table = run_sweep(rc.system, rc.grid, rc.trials, rc.master_seed,
                       snr_db=rc.snr_db, mode=rc.mode)
     if rc.out_format == "json":
-        text = json.dumps(table.to_json_obj(), indent=2) + "\n"
+        text = _json_text(table.to_json_obj()) + "\n"
     else:
         text = table.to_csv()
     try:
@@ -114,7 +127,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    results = run_validation(seed=args.seed if args.seed is not None else 7)
+    results = run_validation()
     failed = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
@@ -156,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the built-in invariant suite")
-    p_val.add_argument("--seed", type=int, metavar="U64", default=None)
     p_val.set_defaults(func=cmd_validate)
     return parser
 

@@ -75,7 +75,7 @@ def orientation_transform(a: np.ndarray) -> np.ndarray:
 def _grid(x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """View an (n_ris, k_ue) matrix as the (n_x, n_y, k_ue) element grid.
 
-    Rows are x-major with y varying fastest (``ris_element_grid``), so the
+    Rows are x-major with y varying fastest (``ris_ue_channel``), so the
     x-neighbour rows are ``g[:-1]``/``g[1:]``, the y-neighbour rows
     ``g[:, :-1]``/``g[:, 1:]``, and ``g[::-1, ::-1]`` mirrors the array
     through its center.

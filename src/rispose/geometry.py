@@ -1,4 +1,4 @@
-"""Array geometry, the RIS element grid, near-field bounds, and pose sampling.
+"""Array geometry, near-field bounds, and pose sampling.
 
 Conventions used throughout the package:
 
@@ -115,14 +115,6 @@ class SystemConfig:
         return self.n_x * self.n_y
 
     @property
-    def nx_half(self) -> int:
-        return (self.n_x - 1) // 2
-
-    @property
-    def ny_half(self) -> int:
-        return (self.n_y - 1) // 2
-
-    @property
     def k_half(self) -> int:
         return (self.k_ue - 1) // 2
 
@@ -168,17 +160,6 @@ def unit_direction(azimuth: float, elevation: float) -> np.ndarray:
     return np.array([ca * ce, sa * ce, se])
 
 
-def ris_element_grid(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Signed (n, m) indices of every element in linear-index order.
-
-    Returns two int arrays of length ``n_ris`` such that row ``i`` of any
-    RIS-sized matrix corresponds to element ``(n[i], m[i])``.
-    """
-    n = np.repeat(np.arange(-cfg.nx_half, cfg.nx_half + 1), cfg.n_y)
-    m = np.tile(np.arange(-cfg.ny_half, cfg.ny_half + 1), cfg.n_x)
-    return n, m
-
-
 def near_field_bounds(cfg: SystemConfig) -> tuple[float, float]:
     """Radiating near-field distance window of the RIS, (r_min, r_max).
 
@@ -186,8 +167,8 @@ def near_field_bounds(cfg: SystemConfig) -> tuple[float, float]:
     the upper edge the Fraunhofer distance 2 * D^2 / wavelength, where D is
     the RIS diagonal.
     """
-    a = 2 * cfg.nx_half * cfg.d_x
-    b = 2 * cfg.ny_half * cfg.d_y
+    a = (cfg.n_x - 1) * cfg.d_x
+    b = (cfg.n_y - 1) * cfg.d_y
     diag_sq = a * a + b * b
     r_min = 0.62 * math.sqrt(diag_sq ** 1.5 / cfg.wavelength)
     r_max = 2.0 * diag_sq / cfg.wavelength

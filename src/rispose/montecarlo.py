@@ -172,8 +172,7 @@ def grid_points(cfg_base: SystemConfig, grid: dict[str, list]) -> list[tuple]:
 
 def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
               master_seed: int, snr_db: float = 15.0,
-              mode: ChannelMode = ChannelMode.EXACT,
-              fixed_pose: Pose | None = None) -> NmseTable:
+              mode: ChannelMode = ChannelMode.EXACT) -> NmseTable:
     """Run seeded Monte Carlo trials over a sweep grid and aggregate NMSE.
 
     Args:
@@ -184,9 +183,6 @@ def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
         master_seed: root of the per-trial seed derivation.
         snr_db: operating SNR for the non-SNR axes.
         mode: channel model for synthesis.
-        fixed_pose: reuse one pose for every trial (debugging); default is a
-            fresh in-range random pose per trial, drawn from a stream shared
-            across grid points (paired comparisons).
 
     Returns:
         NmseTable with one row per (axis, value, parameter), in fixed axis
@@ -208,7 +204,6 @@ def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
         "trials_per_point": trials,
         "master_seed": master_seed,
         "snr_db": snr_db,
-        "fixed_pose": list(fixed_pose.as_tuple()) if fixed_pose else None,
     })
     for axis, value, cfg, snr_override in points:
         point_snr = snr_override if snr_override is not None else snr_db
@@ -216,11 +211,7 @@ def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
         failures = 0
         for t in range(trials):
             rng = np.random.default_rng(trial_seed(master_seed, axis, value, t))
-            if fixed_pose is not None:
-                pose = fixed_pose
-            else:
-                pose = sample_pose(
-                    np.random.default_rng(pose_seed(master_seed, t)), cfg)
+            pose = sample_pose(np.random.default_rng(pose_seed(master_seed, t)), cfg)
             result = run_trial(cfg, pose, point_snr, mode, rng)
             if result.failed:
                 failures += 1

@@ -19,7 +19,7 @@ from .estimator import (_grid, direction_shifts, direction_transform,
                         distance_shift, distance_transform,
                         estimate_pose_from_channel, orientation_shifts,
                         orientation_transform, tls_phase_ratio)
-from .geometry import Pose, SystemConfig, ris_element_grid
+from .geometry import Pose, SystemConfig
 from .montecarlo import run_trial
 from .recovery import recover_channel, sound_and_recover
 
@@ -48,13 +48,6 @@ def validation_config() -> SystemConfig:
 def validation_pose() -> Pose:
     return Pose(r=1.8, theta=math.radians(75.0), phi=math.radians(35.0),
                 psi=math.radians(130.0), gamma=math.radians(40.0))
-
-
-def check_flip_index(cfg: SystemConfig) -> CheckResult:
-    """Flipping the element grid on both axes maps element (n, m) to (-n, -m)."""
-    n, m = (_grid(idx, cfg) for idx in ris_element_grid(cfg))
-    worst = max(np.abs(n[::-1, ::-1] + n).max(), np.abs(m[::-1, ::-1] + m).max())
-    return _result("flip-index identity", float(worst), 1)
 
 
 def check_distance_identity(cfg: SystemConfig, pose: Pose) -> CheckResult:
@@ -192,9 +185,9 @@ def check_trial_path_recovery(cfg: SystemConfig, pose: Pose, snr_db: float = 10.
     return _result("trial-path recovery", worst, TOL_OPERATOR)
 
 
-def check_tls_exactness(seed: int) -> CheckResult:
+def check_tls_exactness() -> CheckResult:
     """TLS ratio is exact on a noiseless rank-one pair."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     true = np.exp(1j * math.pi / 4)
     err = abs(tls_phase_ratio(u, u * true) - true)
@@ -225,12 +218,11 @@ def check_trial_determinism(cfg: SystemConfig, pose: Pose) -> CheckResult:
                        "bit-identical" if same else "results differ")
 
 
-def run_validation(seed: int = 7) -> list[CheckResult]:
+def run_validation() -> list[CheckResult]:
     """Run every check on the validation config."""
     cfg = validation_config()
     pose = validation_pose()
     return [
-        check_flip_index(cfg),
         check_distance_identity(cfg, pose),
         check_direction_identity(cfg, pose),
         check_orientation_identity(cfg, pose),
@@ -240,7 +232,7 @@ def run_validation(seed: int = 7) -> list[CheckResult]:
         check_pinv_paths(cfg),
         check_noiseless_recovery(cfg, pose),
         check_trial_path_recovery(cfg, pose),
-        check_tls_exactness(seed),
+        check_tls_exactness(),
         check_zero_noise_estimate(cfg, pose),
         check_trial_determinism(cfg, pose),
     ]

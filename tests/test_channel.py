@@ -8,14 +8,20 @@ import pytest
 
 from rispose.channel import (ChannelMode, observe, pilot_matrix,
                              ris_bs_channel, ris_profiles, ris_ue_channel)
-from rispose.geometry import (Pose, SystemConfig, ris_element_grid,
-                              unit_direction)
+from rispose.geometry import Pose, SystemConfig, unit_direction
 from rispose.validate import dense_measurement_matrix
 
 
 def center_row(cfg):
     """Row of the center element (0, 0): the middle of the linear order."""
     return cfg.n_ris // 2
+
+
+def element_indices(cfg):
+    """Signed (n, m) index of every element in row order: x-major, y fastest."""
+    n, m = np.meshgrid(np.arange(cfg.n_x) - cfg.n_x // 2,
+                       np.arange(cfg.n_y) - cfg.n_y // 2, indexing="ij")
+    return n.ravel(), m.ravel()
 
 
 def antenna_position(pose, k, cfg):
@@ -59,7 +65,7 @@ def test_ris_ue_channel_center_entry_is_one(cfg, pose):
 
 def test_exact_channel_matches_euclidean_distances(small, pose):
     a = ris_ue_channel(pose, small, ChannelMode.EXACT)
-    n_idx, m_idx = ris_element_grid(small)
+    n_idx, m_idx = element_indices(small)
     for row in (0, 4, 7, 14):
         s = np.array([n_idx[row] * small.d_x, m_idx[row] * small.d_y, 0.0])
         for k in range(-small.k_half, small.k_half + 1):
@@ -75,7 +81,7 @@ def test_fresnel_channel_matches_scalar_expansion(small, pose):
     a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
     e = unit_direction(pose.theta, pose.phi)
     g = unit_direction(pose.psi, pose.gamma)
-    n_idx, m_idx = ris_element_grid(small)
+    n_idx, m_idx = element_indices(small)
     for row in range(small.n_ris):
         s = np.array([n_idx[row] * small.d_x, m_idx[row] * small.d_y, 0.0])
         for k in range(-small.k_half, small.k_half + 1):

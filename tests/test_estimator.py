@@ -16,7 +16,7 @@ from rispose.estimator import (EstimationError,
                                estimate_pose_from_channel, orientation_shifts,
                                orientation_transform, tls_phase_ratio)
 from rispose.geometry import (Pose, SystemConfig, near_field_bounds,
-                              ris_element_grid, sample_pose, unit_direction)
+                              sample_pose, unit_direction)
 from rispose.montecarlo import run_trial
 
 
@@ -35,6 +35,13 @@ def fresnel(pose, cfg):
     return ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
 
 
+def element_indices(cfg):
+    """Signed (n, m) index of every element in row order: x-major, y fastest."""
+    n, m = np.meshgrid(np.arange(cfg.n_x) - cfg.n_x // 2,
+                       np.arange(cfg.n_y) - cfg.n_y // 2, indexing="ij")
+    return n.ravel(), m.ravel()
+
+
 # ---------------------------------------------------------------- shift pairs
 # Shift pairs are slices of the (n_x, n_y, K) grid view: g[:-1]/g[1:] along
 # x and g[:, :-1]/g[:, 1:] along y.  5 x 7 keeps the two axes apart.
@@ -51,7 +58,7 @@ def test_shift_pairs_counts(cfg_5x7):
 
 
 def test_shift_pairs_are_axis_neighbors(cfg_5x7):
-    n_idx, m_idx = (est_mod._grid(idx, cfg_5x7) for idx in ris_element_grid(cfg_5x7))
+    n_idx, m_idx = (est_mod._grid(idx, cfg_5x7) for idx in element_indices(cfg_5x7))
     assert np.all(n_idx[1:] == n_idx[:-1] + 1)
     assert np.all(m_idx[1:] == m_idx[:-1])
     assert np.all(m_idx[:, 1:] == m_idx[:, :-1] + 1)
@@ -65,7 +72,7 @@ def test_distance_transform_formula(cfg, pose):
     # exp(-j (4 pi / wl) (((k d_u)^2 + |s|^2) / (2 r) - e.s))
     b = distance_transform(fresnel(pose, cfg))
     e = unit_direction(pose.theta, pose.phi)
-    n_idx, m_idx = ris_element_grid(cfg)
+    n_idx, m_idx = element_indices(cfg)
     sx, sy = n_idx * cfg.d_x, m_idx * cfg.d_y
     for k in (-cfg.k_half, 0, 3):
         phase = ((k * cfg.d_u) ** 2 + sx ** 2 + sy ** 2) / (2 * pose.r) \
@@ -250,9 +257,8 @@ def test_estimate_direction_skips_column_in_both_means(cfg, pose):
     # identify a ratio while its x-fit returns a finite, wrong one, so the
     # column must drop out of both averages
     c = direction_transform(fresnel(pose, cfg))
-    _, m_idx = ris_element_grid(cfg)
     c[:, 2] *= 1e-15
-    c[m_idx == cfg.ny_half, 2] = 1.0
+    est_mod._grid(c, cfg)[:, -1, 2] = 1.0
     _, _, ex, _, diag = estimate_direction(c, cfg)
     true_ex, _ = direction_shifts(pose, cfg)
     assert ex == pytest.approx(true_ex, abs=1e-12)
@@ -289,9 +295,8 @@ def test_estimate_orientation_noiseless(cfg, pose):
     assert diag["gamma_cos_arg_max"] <= 1.0 + 1e-12
     assert diag["orientation_skipped"] == 0
     # an antenna whose y-fit cannot identify a ratio is skipped and counted
-    _, m_idx = ris_element_grid(cfg)
     d[:, 0] *= 1e-15
-    d[m_idx == cfg.ny_half, 0] = 1.0
+    est_mod._grid(d, cfg)[:, -1, 0] = 1.0
     psi, gamma, diag = estimate_orientation(d, ex, ey, pose.r, cfg)
     assert psi == pytest.approx(pose.psi, abs=1e-6)
     assert gamma == pytest.approx(pose.gamma, abs=1e-6)
@@ -317,7 +322,7 @@ def test_estimate_orientation_sign_symmetry(cfg, pose):
 def test_estimate_orientation_flat_limit(cfg, pose):
     # no antenna-dependent phase at all: the elevation limit is 90 degrees
     ex, ey = direction_shifts(pose, cfg)
-    n_idx, m_idx = ris_element_grid(cfg)
+    n_idx, m_idx = element_indices(cfg)
     d_flat = ((ex ** n_idx) * (ey ** m_idx))[:, None] \
         * np.ones(cfg.k_ue)[None, :]
     psi, gamma, _ = estimate_orientation(d_flat.astype(complex), ex, ey,

@@ -1,4 +1,4 @@
-"""Geometry: element grid, near-field bounds, pose sampling."""
+"""Geometry: unit directions, near-field bounds, config and pose checks, pose sampling."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rispose.geometry import (Pose, SystemConfig, near_field_bounds,
-                              ris_element_grid, sample_pose, unit_direction)
+                              sample_pose, unit_direction)
 
 
 @pytest.fixture
@@ -28,35 +28,6 @@ def test_unit_direction_is_unit_norm():
         az = rng.uniform(-math.pi, math.pi)
         el = rng.uniform(-math.pi / 2, math.pi / 2)
         assert np.linalg.norm(unit_direction(az, el)) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_linear_index_corners_and_center(cfg):
-    # 0-based row of element (n, m) in the linear (x-major) order
-    n_idx, m_idx = ris_element_grid(cfg)
-    assert (n_idx[60], m_idx[60]) == (0, 0)
-    assert (n_idx[0], m_idx[0]) == (-5, -5)
-    assert (n_idx[120], m_idx[120]) == (5, 5)
-    assert (n_idx[10], m_idx[10]) == (-5, 5)
-
-
-def test_linear_index_matches_element_grid():
-    cfg = SystemConfig(n_x=5, n_y=7, p_profiles=35, k_ue=5, l_pilot=5)
-    n_idx, m_idx = ris_element_grid(cfg)
-    rows = (n_idx + cfg.nx_half) * cfg.n_y + (m_idx + cfg.ny_half)
-    np.testing.assert_array_equal(rows, np.arange(cfg.n_ris))
-
-
-def test_flipped_index_mirrors_through_center():
-    cfg = SystemConfig(n_x=5, n_y=7, p_profiles=35, k_ue=5, l_pilot=5)
-    n_idx, m_idx = ris_element_grid(cfg)
-    n_grid = n_idx.reshape(cfg.n_x, cfg.n_y)
-    m_grid = m_idx.reshape(cfg.n_x, cfg.n_y)
-    # flipping the grid on both axes maps (n, m) to (-n, -m) ...
-    np.testing.assert_array_equal(n_grid[::-1, ::-1], -n_grid)
-    np.testing.assert_array_equal(m_grid[::-1, ::-1], -m_grid)
-    # ... and is the same as reversing the linear row order
-    np.testing.assert_array_equal(n_grid[::-1, ::-1].ravel(), n_idx[::-1])
-    np.testing.assert_array_equal(m_grid[::-1, ::-1].ravel(), m_idx[::-1])
 
 
 def test_near_field_bounds_default_array(cfg):
@@ -90,7 +61,7 @@ def test_system_config_profile_default_resolves_to_ris_size():
     cfg = SystemConfig(n_x=9, n_y=9)
     assert cfg.p_profiles == 81
     assert cfg.n_ris == 81
-    assert cfg.k_half == 5 and cfg.nx_half == 4
+    assert cfg.k_half == 5
 
 
 def test_pose_validation():

@@ -85,7 +85,7 @@ def test_run_trial_never_raises_at_overflowing_snr(cfg, pose):
     # the noise gain overflows near -6165 dB; the observation overflows a
     # little above that; both are recorded failures, not raises
     table = run_sweep(cfg, {"snr_db": [-6160.0, -7000.0]}, trials=3,
-                      master_seed=9, mode=ChannelMode.FRESNEL, fixed_pose=pose)
+                      master_seed=9, mode=ChannelMode.FRESNEL)
     assert len(table.rows) == 2 * len(PARAMS)
     for row in table.rows:
         assert row.failures == 3
@@ -228,22 +228,14 @@ def test_run_sweep_n_axis_resizes_ris(cfg):
     assert all(r.nmse < 1e-12 for r in table.rows)
 
 
-def test_run_sweep_fixed_pose(cfg, pose):
-    table = run_sweep(cfg, {"snr_db": [math.inf]}, trials=3, master_seed=2,
-                      mode=ChannelMode.FRESNEL, fixed_pose=pose)
-    assert table.metadata["fixed_pose"] == list(pose.as_tuple())
-    assert all(r.nmse < 1e-12 and r.failures == 0 for r in table.rows)
-
-
 def test_run_sweep_metadata_keys(cfg):
     table = run_sweep(cfg, {"snr_db": [15.0]}, trials=1, master_seed=6,
                       mode=ChannelMode.FRESNEL)
     assert set(table.metadata) == {"nmse_definition", "mode",
                                    "trials_per_point", "master_seed",
-                                   "snr_db", "fixed_pose"}
+                                   "snr_db"}
     assert table.metadata["mode"] == "fresnel"
     assert table.metadata["trials_per_point"] == 1
-    assert table.metadata["fixed_pose"] is None
 
 
 # ------------------------------------------------------------- serialization
