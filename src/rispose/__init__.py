@@ -8,8 +8,8 @@ bundles the synthetic channel model, the estimator, and a seeded Monte
 Carlo NMSE benchmark harness with a small CLI.
 """
 
-from .channel import (ChannelMode, observe, pilot_matrix, ris_bs_channel,
-                      ris_profiles, ris_ue_channel)
+from .channel import (ChannelMode, observe, pilot_matrix, recover_channel,
+                      ris_bs_channel, ris_profiles, ris_ue_channel, sound_and_recover)
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .estimator import (EstimationError, PoseEstimate, direction_transform,
                         distance_transform, estimate_direction, estimate_distance,
@@ -20,7 +20,6 @@ from .geometry import (Pose, SystemConfig, near_field_bounds, sample_pose,
                        unit_direction)
 from .montecarlo import (NmseRow, NmseTable, TrialResult, pose_seed, run_sweep,
                          run_trial, trial_seed)
-from .recovery import recover_channel, sound_and_recover
 from .validate import CheckResult, run_validation
 
 __version__ = "0.1.0"

@@ -1,8 +1,16 @@
-"""Synthetic channel generation: RIS-UE and RIS-BS links, sounding, noise.
+"""Synthetic channels, the sounding of the RIS-UE link, its noise and inverse.
 
 The RIS-UE channel collects per-element, per-antenna phase shifts relative
 to the reference path (RIS center to UE center).  Entries have unit modulus;
 path loss is left out since the estimators only use phase structure.
+
+The BS sounds it through the rank-one RIS-BS link, P RIS phase profiles and
+K pilots of L symbols.  Profile p is row p mod N of the N-point DFT matrix
+and the pilots are the first K rows of the L-point DFT matrix, so ``observe``
+is ``h_b`` times a 2-D FFT of the channel, and ``recover_channel`` its exact
+inverse: a projection on ``h_b``, then two inverse FFTs.  ``sound_and_recover``,
+the Monte Carlo trial path, is that round trip without forming the observation.
+No BLAS routine runs; ``validate`` checks all three against the dense forms.
 """
 
 from __future__ import annotations
@@ -94,11 +102,9 @@ def ris_bs_channel(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
 def ris_profiles(cfg: SystemConfig) -> np.ndarray:
     """RIS phase profiles, one per row, shape (p_profiles, n_ris).
 
-    DFT-style rows ``exp(-j 2 pi p i / n_ris)``: profile p is row
-    ``p mod n_ris`` of the n_ris-point DFT matrix.  ``observe`` and
-    ``recover_channel`` use that structure through FFTs; this matrix is the
-    explicit form the validation suite checks them against.  When
-    p_profiles is a multiple of n_ris, ``profiles^H profiles = p_profiles * I``.
+    DFT rows ``exp(-j 2 pi p i / n_ris)``, the explicit form of the profiles
+    ``observe`` applies through FFTs.  When p_profiles is a multiple of
+    n_ris, ``profiles^H profiles = p_profiles * I``.
     """
     p = np.arange(cfg.p_profiles)[:, None]
     i = np.arange(cfg.n_ris)[None, :]
@@ -164,16 +170,13 @@ def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
     """Stacked noisy sounding observation, shape (m_bs * p_profiles, l_pilot).
 
     Block p (m_bs rows) is ``h @ diag(profiles[p]) @ a @ s`` for the RIS-BS
-    channel ``h``, ``profiles = ris_profiles(cfg)`` and ``s = pilot_matrix(cfg)``.
-    Profile p is DFT row ``p mod n_ris`` and the pilots are the first k_ue
-    rows of a DFT, so every block is ``h_b`` times a row of a 2-D FFT of
-    the channel; neither the dense measurement matrix nor the pilot block
-    is formed, and no BLAS routine runs.
+    channel ``h``, ``profiles = ris_profiles(cfg)`` and ``s = pilot_matrix(cfg)``:
+    ``h_b`` times row ``p mod n_ris`` of a 2-D FFT of ``conj(h_r) * a``.
 
     Circular complex Gaussian noise is added at the receive SNR ``snr_db``:
     mean signal power per entry over the per-entry noise variance
-    (``_noise_std``).  The noise is one ``standard_normal`` draw of every
-    real part, then every imaginary part.  ``snr_db = inf`` is noiseless
+    (``_noise_std``).  The noise is two ``standard_normal(y.shape)`` draws:
+    every real part, then every imaginary part.  ``snr_db = inf`` is noiseless
     and leaves the generator untouched.  A finite SNR so low that the noise
     overflows yields a nonfinite observation, which estimation reports as
     a failure.
@@ -191,8 +194,97 @@ def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
     residue, _ = _profile_residues(cfg)
     y = (h_b[None, :, None] * t[residue][:, None, :]).reshape(-1, cfg.l_pilot)
     if std > 0:
-        noise = rng.standard_normal((2,) + y.shape)
-        noise *= std
-        y.real += noise[0]
-        y.imag += noise[1]
+        y.real += std * rng.standard_normal(y.shape)
+        y.imag += std * rng.standard_normal(y.shape)
     return y
+
+
+def _project(blocks: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``sum_m coef[m] * blocks[:, m, :]`` of (P, M, L) blocks, shape (P, L).
+
+    Accumulated one m at a time, so no (P, M, L) temporary is formed and no
+    BLAS routine runs.
+    """
+    w = coef[0] * blocks[:, 0, :]
+    for m in range(1, blocks.shape[1]):
+        w += coef[m] * blocks[:, m, :]
+    return w
+
+
+def _invert(w: np.ndarray, cfg: SystemConfig, h_r: np.ndarray) -> np.ndarray:
+    """Channel from the per-profile projections ``w_p = h_b^H y_p``, shape (P, L).
+
+    Sums the w_p that share a residue ``p mod n_ris`` and averages them,
+    inverts the pilots as an inverse FFT over the pilot axis whose first
+    k_ue columns are kept, then the profiles as an inverse FFT over the
+    element axis times ``h_r``, and scales by ``1/M`` and the pilot gain.
+    """
+    n = cfg.n_ris
+    _, counts = _profile_residues(cfg)
+    # profile p is DFT row p mod n: sum the chunks of n consecutive profiles
+    folded = w[:n].copy()
+    for start in range(n, cfg.p_profiles, n):
+        chunk = w[start:start + n]
+        folded[:len(chunk)] += chunk
+    folded /= counts[:, None]
+    # s^H K / power is the first k_ue columns of an ifft over the pilot axis,
+    # times L * scale * K / power; the element-axis ifft then has k_ue columns
+    x = np.fft.ifft(folded, axis=1)[:, :cfg.k_ue]
+    x = h_r[:, None] * np.fft.ifft(x, axis=0)
+    x *= _pilot_scale(cfg) * cfg.l_pilot * cfg.k_ue / (cfg.power_w * cfg.m_bs)
+    return x
+
+
+def recover_channel(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Least-squares inverse of the sounding in ``observe``, for any P >= N.
+
+    The RIS-BS link ``np.outer(h_b, h_r.conj())`` has unit-modulus factors
+    and the profiles are DFT rows, so the Gram matrix of the stacked
+    measurement matrix is ``M diag(h_r) C diag(h_r)^H`` with C circulant,
+    which the DFT diagonalises.  The exact left pseudoinverse is therefore:
+    project each block onto ``h_b`` (``w_p = h_b^H y_p / M``), average the
+    w_p that share a residue ``p mod n_ris``, inverse-FFT over the element
+    axis and multiply by ``h_r``.  The DFT pilots invert as ``s^H K / power``:
+    an inverse FFT over the pilot axis, of which the first K columns are kept.
+
+    Noiseless observations recover the (n_ris, k_ue) channel to machine
+    precision; with noise the estimate is the channel plus colored noise.
+
+    Raises:
+        ValueError: if ``y`` is not (m_bs * p_profiles, l_pilot).
+    """
+    shape = (cfg.m_bs * cfg.p_profiles, cfg.l_pilot)
+    if y.shape != shape:
+        raise ValueError(f"expected observation shape {shape}, got {y.shape}")
+    h_b, h_r = ris_bs_channel(cfg)
+    blocks = y.reshape(cfg.p_profiles, cfg.m_bs, cfg.l_pilot)
+    return _invert(_project(blocks, h_b.conj()), cfg, h_r)
+
+
+def sound_and_recover(a: np.ndarray, cfg: SystemConfig, snr_db: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """``recover_channel(observe(a, cfg, snr_db, rng), cfg)``, unformed.
+
+    Recovery is an exact left inverse of the sounding, so that round trip
+    is ``a`` plus the recovered noise, and only the noise is computed:
+    ``observe``'s own draw (every real part, then every imaginary part)
+    goes plane by plane into one reused (P, M, L) buffer, and each plane is
+    projected on ``h_b`` before the next is drawn.  The generator ends in
+    the state ``observe`` leaves it in.  ``snr_db = inf`` returns ``a``
+    itself and leaves the generator untouched.  A finite SNR so low that
+    the noise overflows yields a nonfinite channel, as ``observe`` does.
+
+    Raises:
+        ValueError: if ``snr_db`` is NaN or -inf.
+    """
+    h_b, h_r = ris_bs_channel(cfg)
+    std = _noise_std(np.fft.fft(h_r.conj()[:, None] * a, axis=0), cfg, snr_db)
+    if not std > 0:
+        return a
+    coef = h_b.conj()
+    plane = np.empty((cfg.p_profiles, cfg.m_bs, cfg.l_pilot))
+    rng.standard_normal(out=plane)
+    w = _project(plane, coef)
+    rng.standard_normal(out=plane)
+    w += _project(plane, 1j * coef)
+    return a + std * _invert(w, cfg, h_r)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import recover_channel
 from .geometry import Pose, SystemConfig
-from .recovery import recover_channel
 
 _TLS_TOL = 1e-12
 
@@ -325,7 +325,8 @@ def estimate_pose_from_channel(a: np.ndarray, cfg: SystemConfig) -> PoseEstimate
         psi_hat, gamma_hat, diag_ori = estimate_orientation(
             orientation_transform(a), dex, dey, r_hat, cfg)
     except EstimationError as err:
-        raise EstimationError(err.stage, str(err), partial={**partial, **err.partial})
+        err.partial = {**partial, **err.partial}
+        raise
     diagnostics = {**diag_dir, **diag_ori}
     return PoseEstimate(
         r_hat=r_hat, theta_hat=theta_hat, phi_hat=phi_hat,

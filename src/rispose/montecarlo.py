@@ -12,10 +12,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelMode, ris_ue_channel
+from .channel import ChannelMode, ris_ue_channel, sound_and_recover
 from .estimator import EstimationError, PoseEstimate, estimate_pose_from_channel
 from .geometry import Pose, SystemConfig, sample_pose
-from .recovery import sound_and_recover
 
 PARAMS = ("r", "theta", "phi", "psi", "gamma")
 

@@ -13,15 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (ChannelMode, observe, pilot_matrix, ris_bs_channel,
-                      ris_profiles, ris_ue_channel)
+from .channel import (ChannelMode, observe, pilot_matrix, recover_channel,
+                      ris_bs_channel, ris_profiles, ris_ue_channel, sound_and_recover)
 from .estimator import (_grid, direction_shifts, direction_transform,
                         distance_shift, distance_transform,
                         estimate_pose_from_channel, orientation_shifts,
                         orientation_transform, tls_phase_ratio)
 from .geometry import Pose, SystemConfig
 from .montecarlo import run_trial
-from .recovery import recover_channel, sound_and_recover
 
 # identity checks are exact algebra; estimator checks allow roundoff growth
 TOL_IDENTITY = 1e-12

@@ -145,7 +145,7 @@ def test_pilot_matrix_frozen_entries():
                                     abs=1e-14)
 
 
-def test_khatri_rao_block_structure(small, pose):
+def test_observe_matches_dense_measurement_blocks(small, pose):
     # the dense oracle is the column-wise Kronecker (Khatri-Rao) product of
     # profiles and channel: block p is h diag(profiles[p]); observe matches
     # the oracle product also when P is not a multiple of N
@@ -164,19 +164,23 @@ def test_khatri_rao_block_structure(small, pose):
         np.testing.assert_allclose(y, hbar @ a @ pilot_matrix(c), atol=1e-12)
 
 
-def test_noise_sigma_for_snr_levels(small, pose):
+def test_observe_noise_level_matches_snr(small, pose):
     # SNR is mean signal power per entry over the per-entry noise variance;
-    # the noise is standard_normal(y.shape), real part then imaginary part
+    # the noise is standard_normal(y.shape), real part then imaginary part.
+    # When P is not a multiple of N, the DFT rows are not all used equally
+    # often, and the mean power must weight each row by its profile count
     a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
-    clean = observe(a, small, math.inf, np.random.default_rng(0))
-    mean_power = np.mean(np.abs(clean) ** 2)
-    for snr_db in (0.0, 10.0, -3.5):
-        y = observe(a, small, snr_db, np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        draw = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-        sigma = math.sqrt(mean_power / 10.0 ** (snr_db / 10.0))
-        np.testing.assert_allclose(y - clean, sigma / math.sqrt(2.0) * draw,
-                                   rtol=1e-12, atol=1e-12)
+    for p_count in (small.n_ris, small.n_ris + 2, 2 * small.n_ris - 1):
+        c = replace(small, p_profiles=p_count)
+        clean = observe(a, c, math.inf, np.random.default_rng(0))
+        mean_power = np.mean(np.abs(clean) ** 2)
+        for snr_db in (0.0, 10.0, -3.5):
+            y = observe(a, c, snr_db, np.random.default_rng(5))
+            rng = np.random.default_rng(5)
+            draw = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+            sigma = math.sqrt(mean_power / 10.0 ** (snr_db / 10.0))
+            np.testing.assert_allclose(y - clean, sigma / math.sqrt(2.0) * draw,
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_observe_rejects_undefined_snr(small, pose):

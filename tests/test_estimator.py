@@ -429,6 +429,16 @@ def test_estimate_pose_partial_results_on_late_failure(cfg, pose, monkeypatch):
     assert exc.value.partial["theta_hat"] == pytest.approx(pose.theta, abs=1e-6)
 
 
+def test_estimate_pose_error_names_stage_once(cfg):
+    # an all-ones channel has zero phase on every column pair: the distance
+    # stage's own error comes through, not a copy with the stage prefixed again
+    with pytest.raises(EstimationError) as exc:
+        estimate_pose_from_channel(np.ones((cfg.n_ris, cfg.k_ue), dtype=complex), cfg)
+    assert exc.value.stage == "distance"
+    assert str(exc.value).startswith("distance: every column-pair phase")
+    assert str(exc.value).count("distance:") == 1
+
+
 def test_estimate_pose_error_decreases_with_noise(cfg, pose):
     # consistency: median error shrinks as the channel perturbation shrinks
     a = fresnel(pose, cfg)

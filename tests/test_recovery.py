@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rispose.channel import ChannelMode, observe, ris_ue_channel
+from rispose.channel import (ChannelMode, observe, recover_channel, ris_ue_channel,
+                             sound_and_recover)
 from rispose.geometry import Pose, SystemConfig
-from rispose.recovery import recover_channel, sound_and_recover
 from rispose.validate import check_pinv_paths, check_trial_path_recovery, dense_recovery
 
 
@@ -39,7 +39,7 @@ def test_pinv_is_left_inverse(cfg):
         np.testing.assert_allclose(rec, a, atol=1e-10)
 
 
-def test_structured_and_generic_paths_agree(cfg):
+def test_closed_form_recovery_matches_dense_pinv(cfg):
     # closed-form recovery vs the dense SVD pseudoinverses, at P = N and at
     # a P that is not a multiple of N
     result = check_pinv_paths(cfg)
