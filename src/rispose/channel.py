@@ -9,14 +9,17 @@ K pilots of L symbols.  Profile p is row p mod N of the N-point DFT matrix
 and the pilots are the first K rows of the L-point DFT matrix, so ``observe``
 is ``h_b`` times a 2-D FFT of the channel, and ``recover_channel`` its exact
 inverse: a projection on ``h_b``, then two inverse FFTs.  ``sound_and_recover``,
-the Monte Carlo trial path, is that round trip without forming the observation.
+the Monte Carlo trial path, is that round trip without forming the observation;
+like ``ris_ue_channel`` it also takes a stack of T trials.
 No BLAS routine runs; ``validate`` checks all three against the dense forms.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -30,7 +33,8 @@ class ChannelMode(enum.Enum):
     FRESNEL = "fresnel"
 
 
-def ris_ue_channel(pose: Pose, cfg: SystemConfig, mode: ChannelMode) -> np.ndarray:
+def ris_ue_channel(pose: Pose | Sequence[Pose], cfg: SystemConfig,
+                   mode: ChannelMode) -> np.ndarray:
     """Near-field RIS-UE channel matrix, shape (n_ris, k_ue), complex.
 
     Entry (i, k) is ``exp(-j 2 pi (r_ik - r) / wavelength)`` where ``r_ik``
@@ -42,38 +46,44 @@ def ris_ue_channel(pose: Pose, cfg: SystemConfig, mode: ChannelMode) -> np.ndarr
     it exactly, and are biased on EXACT channels unless ``e.g`` is near 0.
 
     Args:
-        pose: user pose.
+        pose: user pose, or a sequence of T poses.
         cfg: system parameters.
         mode: distance model.
 
     Returns:
         Complex matrix with rows in linear element order (x-major, y varying
-        fastest) and columns in antenna order -k_half ... k_half.
+        fastest) and columns in antenna order -k_half ... k_half; for T
+        poses, a (T, n_ris, k_ue) stack of them.
     """
-    # element coordinates on the two grid axes, antenna offsets on the last
+    poses = [pose] if isinstance(pose, Pose) else pose
+    # element coordinates on the two grid axes, antenna offsets on the last;
+    # pose quantities carry a leading trial axis, shape (T, 1, 1, 1)
     sx = (np.arange(cfg.n_x) - cfg.n_x // 2)[:, None, None] * cfg.d_x
     sy = (np.arange(cfg.n_y) - cfg.n_y // 2)[None, :, None] * cfg.d_y
     ku = cfg.antenna_offsets() * cfg.d_u
-    e = unit_direction(pose.theta, pose.phi)
-    g = unit_direction(pose.psi, pose.gamma)
+    trial = (len(poses), 1, 1, 1)
+    r = np.array([p.r for p in poses]).reshape(trial)
+    e = np.array([unit_direction(p.theta, p.phi) for p in poses]).T.reshape(3, *trial)
+    g = np.array([unit_direction(p.psi, p.gamma) for p in poses]).T.reshape(3, *trial)
 
     if mode is ChannelMode.EXACT:
         # antenna positions r e + u g, one coordinate array per axis
-        qx, qy, qz = pose.r * e[:, None] + g[:, None] * ku
-        excess = np.sqrt((qx - sx) ** 2 + (qy - sy) ** 2 + qz ** 2) - pose.r
+        qx, qy, qz = r * e + g * ku
+        excess = np.sqrt((qx - sx) ** 2 + (qy - sy) ** 2 + qz ** 2) - r
     elif mode is ChannelMode.FRESNEL:
         s_sq = sx * sx + sy * sy
         e_dot_s = e[0] * sx + e[1] * sy
         g_dot_s = g[0] * sx + g[1] * sy
-        e_dot_g = float(e[0] * g[0] + e[1] * g[1] + e[2] * g[2])
+        e_dot_g = e[0] * g[0] + e[1] * g[1] + e[2] * g[2]
         excess = (
-            (ku ** 2 + s_sq) / (2 * pose.r)
-            + ku * (e_dot_g - g_dot_s / pose.r)
+            (ku ** 2 + s_sq) / (2 * r)
+            + ku * (e_dot_g - g_dot_s / r)
             - e_dot_s
         )
     else:
         raise ValueError(f"unknown channel mode {mode!r}")
-    return np.exp(-2j * np.pi * excess.reshape(cfg.n_ris, -1) / cfg.wavelength)
+    a = np.exp(-2j * np.pi * excess.reshape(len(poses), cfg.n_ris, -1) / cfg.wavelength)
+    return a[0] if isinstance(pose, Pose) else a
 
 
 def _steering(count: int, zeta: float, wavelength: float) -> np.ndarray:
@@ -125,6 +135,20 @@ def _profile_residues(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     return residue, np.bincount(residue, minlength=cfg.n_ris)
 
 
+@functools.lru_cache(maxsize=16)
+def _link(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(h_b, h_r, counts)`` of ``ris_bs_channel`` and ``_profile_residues``.
+
+    Pose-independent, so built once per config and shared read-only by
+    every trial of a sweep's grid point.
+    """
+    h_b, h_r = ris_bs_channel(cfg)
+    _, counts = _profile_residues(cfg)
+    for x in (h_b, h_r, counts):
+        x.flags.writeable = False
+    return h_b, h_r, counts
+
+
 def pilot_matrix(cfg: SystemConfig) -> np.ndarray:
     """Orthogonal pilot block, shape (k_ue, l_pilot).
 
@@ -140,29 +164,37 @@ def pilot_matrix(cfg: SystemConfig) -> np.ndarray:
     return _pilot_scale(cfg) * np.exp(-2j * np.pi * a * b / cfg.l_pilot)
 
 
-def _noise_std(u: np.ndarray, cfg: SystemConfig, snr_db: float) -> float:
+def _noise_std(u: np.ndarray, cfg: SystemConfig, snr_db: float) -> np.ndarray:
     """Per-part noise std of the observation at the receive SNR ``snr_db``.
 
-    ``u`` is the element-axis spectrum ``fft(conj(h_r) * a, axis=0)`` of the
-    (n_ris, k_ue) channel ``a``.  Observation block p is ``h_b`` times the
-    pilot-axis FFT of ``u[p mod n_ris]``, scaled by ``_pilot_scale``; with
-    ``|h_b| = 1`` and Parseval (``|fft(x, n=L)|^2 = L |x|^2``) the mean signal
-    power per entry is ``scale^2 * sum_r c_r |u_r|^2 / P``, where ``c_r``
-    counts the profiles with residue r.  The noise variance per entry is
-    that power over ``10^(snr_db / 10)``, split evenly over the real and
-    imaginary parts.  ``snr_db = inf`` gives 0; below about -6165 dB the
-    gain is inf rather than an OverflowError.
+    ``u`` is the element-axis spectrum ``fft(conj(h_r) * a, axis=-2)`` of the
+    (n_ris, k_ue) channel ``a``, or of each channel in a (T, n_ris, k_ue)
+    stack.  Observation block p is ``h_b`` times the pilot-axis FFT of
+    ``u[p mod n_ris]``, scaled by ``_pilot_scale``; with ``|h_b| = 1`` and
+    Parseval (``|fft(x, n=L)|^2 = L |x|^2``) the mean signal power per
+    entry is ``scale^2 * sum_r c_r |u_r|^2 / P``, where ``c_r`` counts the
+    profiles with residue r.  The noise variance per entry is that power
+    over ``10^(snr_db / 10)``, split evenly over the real and imaginary
+    parts.  ``snr_db = inf`` gives 0; below about -6165 dB the gain is inf
+    rather than an OverflowError.
+
+    Returns:
+        The std, one per channel: shape () or (T,).
 
     Raises:
         ValueError: if ``snr_db`` is NaN or -inf.
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number above -inf, got {snr_db!r}")
-    _, counts = _profile_residues(cfg)
-    energy = float((counts * (u.real ** 2 + u.imag ** 2).sum(axis=1)).sum())
+    _, _, counts = _link(cfg)
+    energy = (counts * (u.real ** 2 + u.imag ** 2).sum(axis=-1)).sum(axis=-1)
     with np.errstate(over="ignore"):
         gain = float(np.power(10.0, -snr_db / 20.0))
-    return _pilot_scale(cfg) * math.sqrt(energy / (2 * cfg.p_profiles)) * gain
+    std = _pilot_scale(cfg) * np.sqrt(energy / (2 * cfg.p_profiles))
+    # an overflowing product is inf, which yields a nonfinite channel; no
+    # signal times an infinite gain is NaN, which draws no noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        return std * gain
 
 
 def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
@@ -184,11 +216,11 @@ def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
     Raises:
         ValueError: if ``snr_db`` is NaN or -inf.
     """
-    h_b, h_r = ris_bs_channel(cfg)
+    h_b, h_r, _ = _link(cfg)
     # row r is conj(h_r) * profile row r applied to the channel, times the
     # pilots; the element-axis FFT goes first, while there are only k_ue columns
     u = np.fft.fft(h_r.conj()[:, None] * a, axis=0)
-    std = _noise_std(u, cfg, snr_db)
+    std = float(_noise_std(u, cfg, snr_db))
     t = np.fft.fft(u, n=cfg.l_pilot, axis=1)
     t *= _pilot_scale(cfg)
     residue, _ = _profile_residues(cfg)
@@ -211,16 +243,15 @@ def _project(blocks: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return w
 
 
-def _invert(w: np.ndarray, cfg: SystemConfig, h_r: np.ndarray) -> np.ndarray:
-    """Channel from the per-profile projections ``w_p = h_b^H y_p``, shape (P, L).
+def _pilot_inverse(w: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Pilot inverse of the per-profile projections ``w_p = h_b^H y_p``, (P, L).
 
     Sums the w_p that share a residue ``p mod n_ris`` and averages them,
-    inverts the pilots as an inverse FFT over the pilot axis whose first
-    k_ue columns are kept, then the profiles as an inverse FFT over the
-    element axis times ``h_r``, and scales by ``1/M`` and the pilot gain.
+    then inverts the pilots as an inverse FFT over the pilot axis whose
+    first k_ue columns are kept: shape (n_ris, k_ue).
     """
     n = cfg.n_ris
-    _, counts = _profile_residues(cfg)
+    _, _, counts = _link(cfg)
     # profile p is DFT row p mod n: sum the chunks of n consecutive profiles
     folded = w[:n].copy()
     for start in range(n, cfg.p_profiles, n):
@@ -228,9 +259,18 @@ def _invert(w: np.ndarray, cfg: SystemConfig, h_r: np.ndarray) -> np.ndarray:
         folded[:len(chunk)] += chunk
     folded /= counts[:, None]
     # s^H K / power is the first k_ue columns of an ifft over the pilot axis,
-    # times L * scale * K / power; the element-axis ifft then has k_ue columns
-    x = np.fft.ifft(folded, axis=1)[:, :cfg.k_ue]
-    x = h_r[:, None] * np.fft.ifft(x, axis=0)
+    # times L * scale * K / power
+    return np.fft.ifft(folded, axis=1)[:, :cfg.k_ue]
+
+
+def _profile_inverse(x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Channel from ``_pilot_inverse`` output, (n_ris, k_ue) or a (T, n_ris, k_ue) stack.
+
+    Inverts the profiles as an inverse FFT over the element axis times
+    ``h_r``, and scales by ``1/M`` and the pilot gain.
+    """
+    _, h_r, _ = _link(cfg)
+    x = h_r[:, None] * np.fft.ifft(x, axis=-2)
     x *= _pilot_scale(cfg) * cfg.l_pilot * cfg.k_ue / (cfg.power_w * cfg.m_bs)
     return x
 
@@ -256,13 +296,14 @@ def recover_channel(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     shape = (cfg.m_bs * cfg.p_profiles, cfg.l_pilot)
     if y.shape != shape:
         raise ValueError(f"expected observation shape {shape}, got {y.shape}")
-    h_b, h_r = ris_bs_channel(cfg)
-    blocks = y.reshape(cfg.p_profiles, cfg.m_bs, cfg.l_pilot)
-    return _invert(_project(blocks, h_b.conj()), cfg, h_r)
+    h_b, _, _ = _link(cfg)
+    w = _project(y.reshape(cfg.p_profiles, cfg.m_bs, cfg.l_pilot), h_b.conj())
+    return _profile_inverse(_pilot_inverse(w, cfg), cfg)
 
 
 def sound_and_recover(a: np.ndarray, cfg: SystemConfig, snr_db: float,
-                      rng: np.random.Generator) -> np.ndarray:
+                      rng: np.random.Generator | Sequence[np.random.Generator]
+                      ) -> np.ndarray:
     """``recover_channel(observe(a, cfg, snr_db, rng), cfg)``, unformed.
 
     Recovery is an exact left inverse of the sounding, so that round trip
@@ -274,17 +315,34 @@ def sound_and_recover(a: np.ndarray, cfg: SystemConfig, snr_db: float,
     itself and leaves the generator untouched.  A finite SNR so low that
     the noise overflows yields a nonfinite channel, as ``observe`` does.
 
+    ``a`` may also be a (T, n_ris, k_ue) stack with a sequence of T
+    generators: trial t's noise is drawn from ``rng[t]`` alone, exactly as
+    for that channel on its own, and the recovery runs on the whole stack.
+    A channel whose noise level is not positive (NaN included) gets no
+    noise and leaves its generator untouched.
+
     Raises:
         ValueError: if ``snr_db`` is NaN or -inf.
     """
-    h_b, h_r = ris_bs_channel(cfg)
-    std = _noise_std(np.fft.fft(h_r.conj()[:, None] * a, axis=0), cfg, snr_db)
-    if not std > 0:
+    stack, rngs = (a[None], [rng]) if a.ndim == 2 else (a, rng)
+    h_b, h_r, _ = _link(cfg)
+    std = _noise_std(np.fft.fft(h_r.conj()[:, None] * stack, axis=-2), cfg, snr_db)
+    noisy = np.flatnonzero(std > 0)
+    if noisy.size == 0:
         return a
     coef = h_b.conj()
     plane = np.empty((cfg.p_profiles, cfg.m_bs, cfg.l_pilot))
-    rng.standard_normal(out=plane)
-    w = _project(plane, coef)
-    rng.standard_normal(out=plane)
-    w += _project(plane, 1j * coef)
-    return a + std * _invert(w, cfg, h_r)
+    x = np.empty((noisy.size, cfg.n_ris, cfg.k_ue), complex)
+    for t, out in zip(noisy, x):
+        rngs[t].standard_normal(out=plane)
+        w = _project(plane, coef)
+        rngs[t].standard_normal(out=plane)
+        w += _project(plane, 1j * coef)
+        out[...] = _pilot_inverse(w, cfg)
+    noise = _profile_inverse(x, cfg)
+    noise *= std[noisy, None, None]
+    if a.ndim == 2:
+        return a + noise[0]
+    out = stack.copy()
+    out[noisy] += noise
+    return out

@@ -17,6 +17,10 @@ Each ratio is estimated by a closed-form rank-one total-least-squares fit,
 for all columns at once, and converted back to a parameter through its
 phase.  All of it is exact for the Fresnel channel model and approximate
 for true Euclidean distances.
+
+Every stage also takes a (T, n_ris, k_ue) stack of T trials and runs the
+same arithmetic on all of them at once; one matrix is the T = 1 case.  On
+a stack a failed trial is marked (NaN, or a stage name) instead of raising.
 """
 
 from __future__ import annotations
@@ -59,17 +63,17 @@ class PoseEstimate:
 
 def distance_transform(a: np.ndarray) -> np.ndarray:
     """a * a with columns flipped; rows gain a column-pair distance ratio."""
-    return a * a[:, ::-1]
+    return a * a[..., ::-1]
 
 
 def direction_transform(a: np.ndarray) -> np.ndarray:
     """a * conj(a) with rows and columns flipped; isolates the position angles."""
-    return a * np.conj(a[::-1, ::-1])
+    return a * np.conj(a[..., ::-1, ::-1])
 
 
 def orientation_transform(a: np.ndarray) -> np.ndarray:
     """a * conj(a) with rows flipped; keeps position plus orientation terms."""
-    return a * np.conj(a[::-1, :])
+    return a * np.conj(a[..., ::-1, :])
 
 
 def _grid(x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -78,49 +82,70 @@ def _grid(x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     Rows are x-major with y varying fastest (``ris_ue_channel``), so the
     x-neighbour rows are ``g[:-1]``/``g[1:]``, the y-neighbour rows
     ``g[:, :-1]``/``g[:, 1:]``, and ``g[::-1, ::-1]`` mirrors the array
-    through its center.
+    through its center.  A leading trial axis is kept.
     """
-    return x.reshape(cfg.n_x, cfg.n_y, -1)
+    return x.reshape(*x.shape[:-2], cfg.n_x, cfg.n_y, -1)
+
+
+def _trials(x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """One (n_ris, k_ue) matrix as a one-trial stack; a (T, n_ris, k_ue) stack as is."""
+    if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_ris, cfg.k_ue):
+        raise ValueError(f"expected shape {(cfg.n_ris, cfg.k_ue)} or a stack "
+                         f"of them, got {x.shape}")
+    return x[None] if x.ndim == 2 else x
+
+
+def _masked_mean(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean of ``x`` over ``mask`` along the last axis; NaN where ``mask`` is empty."""
+    count = np.count_nonzero(mask, axis=-1)
+    total = np.where(mask, x, 0).sum(axis=-1)
+    return np.divide(total, count, out=np.full(total.shape, np.nan, total.dtype),
+                     where=count > 0)
 
 
 def _shift_ratios(x: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column TLS ratios between rows one element apart along x and y."""
+    """Per-column TLS ratios between rows one element apart along x and y.
+
+    ``x`` is a (T, n_ris, k_ue) stack; the ratios are (T, k_ue).
+    """
     g = _grid(x, cfg)
-    k = g.shape[-1]
-    gx = tls_phase_ratio(g[:-1].reshape(-1, k), g[1:].reshape(-1, k))
-    gy = tls_phase_ratio(g[:, :-1].reshape(-1, k), g[:, 1:].reshape(-1, k))
+    t, k = len(g), g.shape[-1]
+    gx = tls_phase_ratio(g[:, :-1].reshape(t, -1, k), g[:, 1:].reshape(t, -1, k))
+    gy = tls_phase_ratio(g[:, :, :-1].reshape(t, -1, k), g[:, :, 1:].reshape(t, -1, k))
     return gx, gy
 
 
 def tls_phase_ratio(u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
     """Total-least-squares estimate of the scalar ratio in ``v ~ u * delta``.
 
-    ``u`` and ``v`` are (n,) vectors or (n, cols) stacks fitted column by
-    column.  With ``a = |u|^2``, ``c = |v|^2`` and ``b = u^H v``, the null
-    direction of the Gram matrix ``[[a, b], [b*, c]]`` of ``[u v]`` gives
+    ``u`` and ``v`` are (n,) vectors, (n, cols) stacks fitted column by
+    column, or (T, n, cols) stacks of T trials.  With ``a = |u|^2``,
+    ``c = |v|^2`` and ``b = u^H v``, the null direction of the Gram matrix
+    ``[[a, b], [b*, c]]`` of ``[u v]`` gives
     ``delta = b / (a - lmin)`` (Golub & Van Loan, *Matrix Computations*,
     section 6.3): the SVD fit in closed form.  Exact for a noiseless
     rank-one stack, symmetric in the noise on u and v otherwise.
 
     Returns:
-        A complex for (n,) inputs, a (cols,) array otherwise; NaN where the
-        fit cannot identify a finite ratio.
+        A complex for (n,) inputs, a (cols,) or (T, cols) array otherwise;
+        NaN where the fit cannot identify a finite ratio.
 
     Raises:
         ValueError: on shape mismatch or an all-zero input column.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.ndim not in (1, 2) or u.shape != v.shape:
-        raise ValueError(f"need equal-shape 1-D or 2-D inputs, got {u.shape} and {v.shape}")
+    if u.ndim not in (1, 2, 3) or u.shape != v.shape:
+        raise ValueError(f"need equal-shape 1-D, 2-D or 3-D inputs, got {u.shape} "
+                         f"and {v.shape}")
     single = u.ndim == 1
     if single:
         u, v = u[:, None], v[:, None]
-    a = (u.conj() * u).real.sum(axis=0)
-    c = (v.conj() * v).real.sum(axis=0)
+    a = (u.conj() * u).real.sum(axis=-2)
+    c = (v.conj() * v).real.sum(axis=-2)
     if not (np.all(a > 0) and np.all(c > 0)):
         raise ValueError("inputs must have nonzero norm")
-    b = (u.conj() * v).sum(axis=0)
+    b = (u.conj() * v).sum(axis=-2)
     abs_b = np.abs(b)
     half = (a - c) / 2
     # a - lmin = half + root; for a < c the same value is |b|^2 / (root - half),
@@ -163,7 +188,7 @@ def _nearest_branch(phase: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     return phase + 2 * np.pi * np.round((predicted - phase) / (2 * np.pi))
 
 
-def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> float:
+def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> float | np.ndarray:
     """Distance from the distance transform ``b``, shape (n_ris, k_ue).
 
     Each adjacent column pair (k, k+1) yields a phase whose model value is
@@ -172,39 +197,49 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> float:
     give a coarse distance; the remaining phases are unwrapped to the branch
     nearest their model prediction before inverting.  The estimate is the
     mean of the per-pair distances.
+
+    A (T, n_ris, k_ue) stack gives a (T,) array, NaN where a trial fails.
+
+    Raises:
+        EstimationError: for one matrix, if the stage fails.
     """
-    n, k_ue = b.shape
-    if n != cfg.n_ris or k_ue != cfg.k_ue:
-        raise ValueError(f"expected shape {(cfg.n_ris, cfg.k_ue)}, got {b.shape}")
+    stack = _trials(b, cfg)
     kh = cfg.k_half
     k_vals = np.arange(-kh, kh)  # pair (k, k+1) per entry
     coeff = -2.0 * math.pi * (2 * k_vals + 1) * cfg.d_u ** 2 / cfg.wavelength
 
     # NaN for an unidentifiable pair, excluded below
-    phases = np.angle(tls_phase_ratio(b[:, :-1], b[:, 1:]))
+    phases = np.angle(tls_phase_ratio(stack[..., :-1], stack[..., 1:]))
+
+    def inverted(ok):
+        return np.divide(coeff, phases, out=np.zeros_like(phases), where=ok)
 
     # coarse distance from the |2k+1| = 1 pairs (k = -1 and k = 0)
-    coarse = []
-    for idx in (kh - 1, kh):
-        ph = phases[idx]
-        if np.isfinite(ph) and ph != 0.0 and coeff[idx] / ph > 0:
-            coarse.append(coeff[idx] / ph)
-    if coarse:
-        phases = _nearest_branch(phases, coeff / float(np.mean(coarse)))
+    center = np.zeros(phases.shape, dtype=bool)
+    center[:, kh - 1:kh + 1] = True
+    nonzero = np.isfinite(phases) & (phases != 0.0)
+    coarse = inverted(center & nonzero)
+    coarse = _masked_mean(coarse, coarse > 0)
+    has_coarse = np.isfinite(coarse)
+    if has_coarse.any():
+        branch = _nearest_branch(phases[has_coarse], coeff / coarse[has_coarse, None])
+        phases[has_coarse] = branch
 
     valid = np.isfinite(phases) & (phases != 0.0)
+    r_hat = _masked_mean(inverted(valid), valid)
+    failed = ~(np.isfinite(r_hat) & (r_hat > 0))
+    if b.ndim == 3:
+        r_hat[failed] = np.nan
+        return r_hat
     if not valid.any():
         raise EstimationError("distance", "every column-pair phase was zero or "
                               "unidentifiable (infinite-distance indication)")
-    r_hat = float(np.mean(coeff[valid] / phases[valid]))
-    if not (math.isfinite(r_hat) and r_hat > 0):
-        raise EstimationError("distance", f"non-physical distance {r_hat!r}")
-    return r_hat
+    if failed[0]:
+        raise EstimationError("distance", f"non-physical distance {float(r_hat[0])!r}")
+    return float(r_hat[0])
 
 
-def estimate_direction(
-    c: np.ndarray, cfg: SystemConfig
-) -> tuple[float, float, complex, complex, dict]:
+def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
     """Position azimuth/elevation from the direction transform ``c``.
 
     Per column, a TLS fit over x-axis (y-axis) row pairs estimates the two
@@ -215,34 +250,44 @@ def estimate_direction(
     the raw value kept as a diagnostic).
 
     Returns:
-        (theta_hat, phi_hat, delta_ex, delta_ey, diagnostics).
+        (theta_hat, phi_hat, delta_ex, delta_ey, diagnostics).  A
+        (T, n_ris, k_ue) stack gives (T,) arrays, NaN where a trial fails,
+        and diagnostics of (T,) arrays.
+
+    Raises:
+        EstimationError: for one matrix, if the stage fails.
     """
-    if c.shape != (cfg.n_ris, cfg.k_ue):
-        raise ValueError(f"expected shape {(cfg.n_ris, cfg.k_ue)}, got {c.shape}")
-    ratios_x, ratios_y = _shift_ratios(c, cfg)
+    stack = _trials(c, cfg)
+    ratios_x, ratios_y = _shift_ratios(stack, cfg)
     fit = np.isfinite(ratios_x) & np.isfinite(ratios_y)
-    if not fit.any():
-        raise EstimationError("direction", "shift ratio unidentifiable in every column")
     # a column enters both means or neither
-    delta_ex = complex(np.mean(ratios_x[fit]))
-    delta_ey = complex(np.mean(ratios_y[fit]))
-    skipped = int(cfg.k_ue - np.count_nonzero(fit))
+    delta_ex = _masked_mean(ratios_x, fit)
+    delta_ey = _masked_mean(ratios_y, fit)
+    skipped = cfg.k_ue - np.count_nonzero(fit, axis=-1)
     ax = np.angle(delta_ex) / cfg.d_x
     ay = np.angle(delta_ey) / cfg.d_y
-    if ax == 0.0 and ay == 0.0:
-        # elevation exactly 90 degrees leaves the azimuth undefined
+    # elevation exactly 90 degrees leaves the azimuth undefined
+    vanish = (ax == 0.0) & (ay == 0.0)
+    theta_hat = np.arctan2(ay, ax)
+    cos_arg = cfg.wavelength / (4 * math.pi) * np.hypot(ax, ay)
+    phi_hat = np.arccos(np.clip(cos_arg, 0.0, 1.0))
+    if c.ndim == 3:
+        for x in (theta_hat, phi_hat, delta_ex, delta_ey):
+            x[vanish] = np.nan
+        diag = {"phi_cos_arg": cos_arg, "direction_skipped_cols": skipped}
+        return theta_hat, phi_hat, delta_ex, delta_ey, diag
+    if not fit.any():
+        raise EstimationError("direction", "shift ratio unidentifiable in every column")
+    if vanish[0]:
         raise EstimationError("direction", "both direction phases vanish")
-    theta_hat = math.atan2(ay, ax)
-    cos_arg = cfg.wavelength / (4 * math.pi) * math.hypot(ax, ay)
-    phi_hat = math.acos(min(max(cos_arg, 0.0), 1.0))
-    diag = {"phi_cos_arg": cos_arg, "direction_skipped_cols": skipped}
-    return theta_hat, phi_hat, delta_ex, delta_ey, diag
+    diag = {"phi_cos_arg": float(cos_arg[0]), "direction_skipped_cols": int(skipped[0])}
+    return (float(theta_hat[0]), float(phi_hat[0]), complex(delta_ex[0]),
+            complex(delta_ey[0]), diag)
 
 
 def estimate_orientation(
-    d: np.ndarray, delta_ex: complex, delta_ey: complex, r_hat: float,
-    cfg: SystemConfig
-) -> tuple[float, float, dict]:
+    d: np.ndarray, delta_ex, delta_ey, r_hat, cfg: SystemConfig
+) -> tuple:
     """Orientation azimuth/elevation from the orientation transform ``d``.
 
     For each off-center antenna k, the x/y shift ratios are divided by the
@@ -254,65 +299,94 @@ def estimate_orientation(
     not flip the quadrant) and an elevation.  The azimuths are averaged on
     the circle, the elevations arithmetically.
 
+    A (T, n_ris, k_ue) stack takes (T,) arrays of the direction ratios and
+    distances.
+
     Returns:
-        (psi_hat, gamma_hat, diagnostics).
+        (psi_hat, gamma_hat, diagnostics); (T,) arrays for a stack, NaN
+        where a trial fails, with diagnostics of (T,) and (T, k_ue) arrays.
+
+    Raises:
+        EstimationError: for one matrix, if the stage fails.
     """
-    if d.shape != (cfg.n_ris, cfg.k_ue):
-        raise ValueError(f"expected shape {(cfg.n_ris, cfg.k_ue)}, got {d.shape}")
-    if not (math.isfinite(r_hat) and r_hat > 0):
-        raise EstimationError("orientation", f"invalid distance input {r_hat!r}")
-    gx, gy = _shift_ratios(d, cfg)
-    k = cfg.antenna_offsets()
+    stack = _trials(d, cfg)
+    r_hat = np.asarray(r_hat, dtype=float).reshape(-1)
+    bad_r = ~(np.isfinite(r_hat) & (r_hat > 0))
+    if d.ndim == 2 and bad_r[0]:
+        raise EstimationError("orientation", f"invalid distance input {float(r_hat[0])!r}")
     # the center antenna carries no orientation phase
+    k = cfg.antenna_offsets()
     off_center = k != 0
-    cols = np.flatnonzero(off_center & np.isfinite(gx) & np.isfinite(gy))
-    skipped = int(np.count_nonzero(off_center)) - cols.size
-    kc = k[cols]
+    kc = k[off_center]
     sgn = np.sign(kc)
-    phases = np.angle(np.stack([gx[cols] / delta_ex, gy[cols] / delta_ey]))
-    inner = np.abs(kc) == 1
-    if inner.any():
-        slope = (phases[:, inner] * sgn[inner]).mean(axis=1)
-        phases = _nearest_branch(phases, slope[:, None] * kc)
+    gx, gy = (ratio[:, off_center] for ratio in _shift_ratios(stack, cfg))
+    used = np.isfinite(gx) & np.isfinite(gy)
+    skipped = kc.size - np.count_nonzero(used, axis=-1)
+    deltas = np.stack([np.asarray(delta_ex).reshape(-1), np.asarray(delta_ey).reshape(-1)])
+    phases = np.angle(np.stack([gx, gy]) / deltas[:, :, None])  # (2, T, K - 1)
+    inner = used & (np.abs(kc) == 1)
+    slope = _masked_mean(phases * sgn, inner)
+    has_slope = inner.any(axis=-1)
+    phases[:, has_slope] = _nearest_branch(phases[:, has_slope],
+                                           slope[:, has_slope, None] * kc)
     alpha_x = phases[0] / cfg.d_x
     alpha_y = phases[1] / cfg.d_y
     # exact zeros carry no azimuth information; averaging atan2(0, 0)
     # would silently bias the mean toward zero
-    has_azimuth = (alpha_x != 0.0) | (alpha_y != 0.0)
-    if not has_azimuth.any():
-        raise EstimationError(
-            "orientation", "orientation phases unidentifiable for every antenna")
-    psi = np.arctan2(sgn * alpha_y, sgn * alpha_x)[has_azimuth]
-    cos_args = (cfg.wavelength * r_hat / (4 * math.pi * np.abs(kc) * cfg.d_u)
+    has_azimuth = used & ((alpha_x != 0.0) | (alpha_y != 0.0))
+    psi = np.arctan2(sgn * alpha_y, sgn * alpha_x)
+    cos_args = (cfg.wavelength * r_hat[:, None] / (4 * math.pi * np.abs(kc) * cfg.d_u)
                 * np.hypot(alpha_x, alpha_y))
     gamma = np.arccos(np.clip(cos_args, 0.0, 1.0))
-    psi_per_k = np.full(cfg.k_ue, np.nan)
-    psi_per_k[cols[has_azimuth]] = psi
-    gamma_per_k = np.full(cfg.k_ue, np.nan)
-    gamma_per_k[cols] = gamma
-    diag = {"gamma_cos_arg_max": float(cos_args.max()), "orientation_skipped": skipped,
-            "psi_per_k": psi_per_k, "gamma_per_k": gamma_per_k}
     # per-antenna azimuths near pi wrap to near -pi; take the circular mean
     # and wrap it into [-pi/2, 3pi/2), the 2 pi window centred on (0, pi)
-    psi_hat = (np.angle(np.mean(np.exp(1j * psi))) + math.pi / 2) % (2 * math.pi) - math.pi / 2
-    return float(psi_hat), float(np.mean(gamma)), diag
+    psi_hat = ((np.angle(_masked_mean(np.exp(1j * psi), has_azimuth)) + math.pi / 2)
+               % (2 * math.pi) - math.pi / 2)
+    gamma_hat = _masked_mean(gamma, used)
+    failed = bad_r | ~has_azimuth.any(axis=-1)
+    psi_per_k = np.full(stack.shape[::2], np.nan)
+    psi_per_k[:, off_center] = np.where(has_azimuth, psi, np.nan)
+    gamma_per_k = np.full(stack.shape[::2], np.nan)
+    gamma_per_k[:, off_center] = np.where(used, gamma, np.nan)
+    cos_arg_max = np.where(used, cos_args, -np.inf).max(axis=-1)
+    if d.ndim == 3:
+        psi_hat[failed] = np.nan
+        gamma_hat[failed] = np.nan
+        diag = {"gamma_cos_arg_max": cos_arg_max, "orientation_skipped": skipped,
+                "psi_per_k": psi_per_k, "gamma_per_k": gamma_per_k}
+        return psi_hat, gamma_hat, diag
+    if failed[0]:
+        raise EstimationError(
+            "orientation", "orientation phases unidentifiable for every antenna")
+    diag = {"gamma_cos_arg_max": float(cos_arg_max[0]),
+            "orientation_skipped": int(skipped[0]),
+            "psi_per_k": psi_per_k[0], "gamma_per_k": gamma_per_k[0]}
+    return float(psi_hat[0]), float(gamma_hat[0]), diag
 
 
-def estimate_pose_from_channel(a: np.ndarray, cfg: SystemConfig) -> PoseEstimate:
+def estimate_pose_from_channel(
+    a: np.ndarray, cfg: SystemConfig
+) -> PoseEstimate | tuple[np.ndarray, np.ndarray]:
     """Run the three-stage estimator on an already recovered channel matrix.
 
     Args:
-        a: recovered (n_ris, k_ue) channel.
+        a: recovered (n_ris, k_ue) channel, or a (T, n_ris, k_ue) stack.
         cfg: system parameters.
 
     Returns:
-        PoseEstimate with all five parameters and stage diagnostics.
+        For one channel, a PoseEstimate with all five parameters and stage
+        diagnostics.  For a stack, ``(estimates, stage)``: a (T, 5) array of
+        (r, theta, phi, psi, gamma) rows, NaN where a trial failed, and a
+        (T,) object array holding each failed trial's stage name, else None.
+        One trial's failure never affects the others.
 
     Raises:
-        EstimationError: if any stage fails; ``partial`` carries whatever
-            earlier stages produced.  Stage ``nonfinite`` means ``a`` holds
-            an inf or NaN, as after noise that overflowed.
+        EstimationError: for one channel, if any stage fails; ``partial``
+            carries whatever earlier stages produced.  Stage ``nonfinite``
+            means ``a`` holds an inf or NaN, as after noise that overflowed.
     """
+    if a.ndim == 3:
+        return _estimate_stack(_trials(a, cfg), cfg)
     if not np.isfinite(a).all():
         raise EstimationError("nonfinite", "recovered channel is not finite")
     partial: dict = {}
@@ -332,6 +406,39 @@ def estimate_pose_from_channel(a: np.ndarray, cfg: SystemConfig) -> PoseEstimate
         r_hat=r_hat, theta_hat=theta_hat, phi_hat=phi_hat,
         psi_hat=psi_hat, gamma_hat=gamma_hat, diagnostics=diagnostics,
     )
+
+
+def _estimate_stack(a: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The three stages on a (T, n_ris, k_ue) stack; see ``estimate_pose_from_channel``.
+
+    Each stage runs on the trials that passed the earlier ones only, so a
+    failed trial's NaN never reaches the arithmetic of another stage.
+    """
+    estimates = np.full((len(a), 5), np.nan)
+    stage = np.full(len(a), None, dtype=object)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    stage[~finite] = "nonfinite"
+    idx = np.flatnonzero(finite)
+
+    def survivors(name, value):
+        failed = np.isnan(value)
+        stage[idx[failed]] = name
+        return ~failed
+
+    if idx.size:
+        r = estimate_distance(distance_transform(a[idx]), cfg)
+        keep = survivors("distance", r)
+        idx, r = idx[keep], r[keep]
+    if idx.size:
+        theta, phi, dex, dey, _ = estimate_direction(direction_transform(a[idx]), cfg)
+        keep = survivors("direction", theta)
+        idx, r, theta, phi, dex, dey = (x[keep] for x in (idx, r, theta, phi, dex, dey))
+    if idx.size:
+        psi, gamma, _ = estimate_orientation(orientation_transform(a[idx]),
+                                             dex, dey, r, cfg)
+        keep = survivors("orientation", psi)
+        estimates[idx[keep]] = np.stack([r, theta, phi, psi, gamma], axis=1)[keep]
+    return estimates, stage
 
 
 def estimate_pose(y: np.ndarray, cfg: SystemConfig) -> PoseEstimate:

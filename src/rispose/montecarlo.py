@@ -3,6 +3,10 @@
 NMSE of a parameter x is the mean of ((x_hat - x) / x)^2 over non-failed
 trials, with angles compared in radians.  Failed trials are counted and
 reported per grid point, never silently dropped.
+
+A sweep runs each grid point's trials in stacks: every trial keeps its own
+seeded pose and noise draw, and the rest of ``run_trial``'s steps run once
+per stack.
 """
 
 from __future__ import annotations
@@ -26,6 +30,14 @@ AXIS_CODES = {"snr_db": 0, "N": 1, "K": 2, "P": 3}
 # point-to-point NMSE comparisons are then paired over poses and only differ
 # through the noise, which sharpens trend estimates at fixed trial counts.
 POSE_STREAM_CODE = 4
+
+# A sweep stacks as many trials as fit their (n_ris, k_ue) complex channels
+# into this many bytes (``_chunk_size``).  The estimator holds about nine
+# such stacks at once, so the budget bounds the sweep's extra memory; it is
+# set by peak RSS, which it raises by about 0.6 MB at N = 49 to 225 (speed
+# gains flatten beyond it).  Each trial's noise still goes through one
+# reused (P, M, L) buffer.
+_CHUNK_BYTES = 96 * 1024
 
 NMSE_DEFINITION = ("mean over non-failed trials of ((est - true) / true)^2 "
                    "per parameter; angles in radians")
@@ -89,6 +101,11 @@ class NmseTable:
         }
 
 
+def _squared_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """``((est - true) / true)^2`` per parameter; rows of (T, 5) or one (5,) row."""
+    return ((estimates - truth) / truth) ** 2
+
+
 def run_trial(cfg: SystemConfig, pose: Pose, snr_db: float, mode: ChannelMode,
               rng: np.random.Generator) -> TrialResult:
     """Sound the channel of one pose, recover it and estimate the pose.
@@ -96,7 +113,8 @@ def run_trial(cfg: SystemConfig, pose: Pose, snr_db: float, mode: ChannelMode,
     ``snr_db = inf`` means noiseless.  The recovered channel comes from
     ``sound_and_recover``: the same value and noise draw as
     ``recover_channel(observe(...))``, without forming the observation.
-    Estimation failures are recorded in the result, not raised.
+    Estimation failures are recorded in the result, not raised.  A sweep
+    runs the same steps on a stack of trials (``run_sweep``).
 
     Raises:
         ValueError: if ``snr_db`` is NaN or -inf.
@@ -107,14 +125,33 @@ def run_trial(cfg: SystemConfig, pose: Pose, snr_db: float, mode: ChannelMode,
     except EstimationError as err:
         return TrialResult(estimate=None, squared_relative_error=None,
                            stage=err.stage)
-    errors = {
-        name: ((est_val - true_val) / true_val) ** 2
-        for name, est_val, true_val in zip(PARAMS, est.as_tuple(), pose.as_tuple())
-    }
-    if not all(math.isfinite(v) for v in errors.values()):
+    errors = _squared_errors(np.array(est.as_tuple()), np.array(pose.as_tuple()))
+    if not np.isfinite(errors).all():
         return TrialResult(estimate=est, squared_relative_error=None,
                            stage="nonfinite")
-    return TrialResult(estimate=est, squared_relative_error=errors)
+    return TrialResult(estimate=est,
+                       squared_relative_error=dict(zip(PARAMS, errors.tolist())))
+
+
+def _run_trials(cfg: SystemConfig, poses: list[Pose], snr_db: float, mode: ChannelMode,
+                rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """``run_trial`` on a stack of T trials, each with its own generator.
+
+    Returns:
+        (T, 5) squared relative errors in ``PARAMS`` order, and each trial's
+        failure stage (None if it succeeded), as ``estimate_pose_from_channel``
+        gives it or ``nonfinite`` for a nonfinite error.
+    """
+    a = sound_and_recover(ris_ue_channel(poses, cfg, mode), cfg, snr_db, rngs)
+    estimates, stage = estimate_pose_from_channel(a, cfg)
+    errors = _squared_errors(estimates, np.array([p.as_tuple() for p in poses]))
+    stage[np.equal(stage, None) & ~np.isfinite(errors).all(axis=1)] = "nonfinite"
+    return errors, stage
+
+
+def _chunk_size(cfg: SystemConfig) -> int:
+    """Trials per stack: ``_CHUNK_BYTES`` over the bytes of one channel, at least 1."""
+    return max(1, _CHUNK_BYTES // (16 * cfg.n_ris * cfg.k_ue))
 
 
 def trial_seed(master_seed: int, axis: str, value, trial: int) -> np.random.SeedSequence:
@@ -140,6 +177,9 @@ def _config_for(cfg_base: SystemConfig, axis: str, value) -> tuple[SystemConfig,
     """Derive the grid-point config; returns (config, snr override or None)."""
     if axis == "snr_db":
         return cfg_base, float(value)
+    # the other axes are counts; int() would truncate 11.5 to 11
+    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+        raise ValueError(f"sweep axis {axis} needs integer values, got {value!r}")
     if axis == "N":
         side = math.isqrt(int(value))
         if side * side != int(value) or side % 2 == 0:
@@ -206,20 +246,22 @@ def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
     })
     for axis, value, cfg, snr_override in points:
         point_snr = snr_override if snr_override is not None else snr_db
-        sums = {p: 0.0 for p in PARAMS}
+        sums = np.zeros(len(PARAMS))
         failures = 0
-        for t in range(trials):
-            rng = np.random.default_rng(trial_seed(master_seed, axis, value, t))
-            pose = sample_pose(np.random.default_rng(pose_seed(master_seed, t)), cfg)
-            result = run_trial(cfg, pose, point_snr, mode, rng)
-            if result.failed:
-                failures += 1
-                continue
-            for p in PARAMS:
-                sums[p] += result.squared_relative_error[p]
+        size = _chunk_size(cfg)
+        for start in range(0, trials, size):
+            chunk = range(start, min(start + size, trials))
+            rngs = [np.random.default_rng(trial_seed(master_seed, axis, value, t))
+                    for t in chunk]
+            poses = [sample_pose(np.random.default_rng(pose_seed(master_seed, t)), cfg)
+                     for t in chunk]
+            errors, stage = _run_trials(cfg, poses, point_snr, mode, rngs)
+            ok = np.equal(stage, None)
+            failures += len(chunk) - int(np.count_nonzero(ok))
+            sums += errors[ok].sum(axis=0)
         ok = trials - failures
-        for p in PARAMS:
-            nmse = sums[p] / ok if ok > 0 else math.nan
+        for p, total in zip(PARAMS, sums.tolist()):
+            nmse = total / ok if ok > 0 else math.nan
             table.rows.append(NmseRow(
                 sweep_var=axis, sweep_value=float(value), param=p,
                 nmse=nmse, trials=trials, failures=failures,

@@ -197,7 +197,7 @@ def test_tls_phase_ratio_input_validation():
     with pytest.raises(ValueError):
         tls_phase_ratio(np.ones((3, 2)), np.ones((3, 3)))
     with pytest.raises(ValueError):
-        tls_phase_ratio(np.ones((3, 2, 2)), np.ones((3, 2, 2)))
+        tls_phase_ratio(np.ones((3, 2, 2, 2)), np.ones((3, 2, 2, 2)))
     with pytest.raises(ValueError):
         tls_phase_ratio(np.zeros(3), np.ones(3))
     stack = np.ones((3, 2))
@@ -334,7 +334,7 @@ def test_estimate_orientation_all_zero_phases_fail(cfg, pose, monkeypatch):
     ex, ey = direction_shifts(pose, cfg)
     # every column's x and y ratios collapse to ex
     monkeypatch.setattr(est_mod, "tls_phase_ratio",
-                        lambda u, v: np.full(u.shape[1], ex))
+                        lambda u, v: np.full(u.shape[:-2] + u.shape[-1:], ex))
     d = np.ones((cfg.n_ris, cfg.k_ue), dtype=complex)
     with pytest.raises(EstimationError) as exc:
         estimate_orientation(d, ex, ex, pose.r, cfg)

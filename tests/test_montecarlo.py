@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import rispose
+import rispose.estimator as est_mod
 import rispose.montecarlo as mc_mod
-from rispose.channel import ChannelMode
-from rispose.estimator import EstimationError, PoseEstimate
-from rispose.geometry import Pose, SystemConfig
-from rispose.montecarlo import (AXIS_CODES, PARAMS, NmseTable, pose_seed,
-                                run_sweep, run_trial, trial_seed)
+from rispose.channel import ChannelMode, ris_ue_channel, sound_and_recover
+from rispose.estimator import PoseEstimate, estimate_pose_from_channel
+from rispose.geometry import Pose, SystemConfig, sample_pose
+from rispose.montecarlo import (AXIS_CODES, PARAMS, NmseTable, grid_points,
+                                pose_seed, run_sweep, run_trial, trial_seed)
 
 
 @pytest.fixture
@@ -188,10 +189,12 @@ def test_run_sweep_repeatable(cfg):
 
 
 def test_run_sweep_all_failed_point(cfg, monkeypatch):
-    def boom(*args, **kwargs):
-        raise EstimationError("distance", "forced")
+    # a sweep estimates stacks of trials; on a stack a stage marks each
+    # failed trial with NaN instead of raising
+    def boom(b, cfg):
+        return np.full(len(b), np.nan)
 
-    monkeypatch.setattr(mc_mod, "estimate_pose_from_channel", boom)
+    monkeypatch.setattr(est_mod, "estimate_distance", boom)
     table = run_sweep(cfg, {"snr_db": [15.0]}, trials=4, master_seed=1)
     for row in table.rows:
         assert row.failures == 4
@@ -200,9 +203,9 @@ def test_run_sweep_all_failed_point(cfg, monkeypatch):
 
 def test_run_sweep_input_validation(cfg, monkeypatch):
     def no_trial(*args, **kwargs):
-        raise AssertionError("run_trial called before the grid was checked")
+        raise AssertionError("trials run before the grid was checked")
 
-    monkeypatch.setattr(mc_mod, "run_trial", no_trial)
+    monkeypatch.setattr(mc_mod, "_run_trials", no_trial)
     with pytest.raises(ValueError):
         run_sweep(cfg, {}, trials=2, master_seed=1)
     with pytest.raises(ValueError):
@@ -217,6 +220,85 @@ def test_run_sweep_input_validation(cfg, monkeypatch):
     for grid in ({"K": [4]}, {"P": [10]}, {"snr_db": [10.0], "K": [5, 4]}):
         with pytest.raises(ValueError):
             run_sweep(cfg, grid, trials=2, master_seed=1)
+    # a count axis rejects a value that int() would truncate
+    for grid in ({"K": [5.5]}, {"P": [60.9]}, {"N": [49.0000001]},
+                 {"snr_db": [10.0], "K": [5, 7.25]}, {"K": [math.inf]}):
+        with pytest.raises(ValueError, match="integer"):
+            run_sweep(cfg, grid, trials=2, master_seed=1)
+
+
+def trial_loop_rows(cfg_base, grid, trials, master_seed, snr_db, mode):
+    """(nmse, failures) per (axis, value, param) from one ``run_trial`` per trial."""
+    rows = {}
+    for axis, value, cfg, snr_override in grid_points(cfg_base, grid):
+        point_snr = snr_db if snr_override is None else snr_override
+        errors = []
+        for t in range(trials):
+            pose = sample_pose(np.random.default_rng(pose_seed(master_seed, t)), cfg)
+            rng = np.random.default_rng(trial_seed(master_seed, axis, value, t))
+            result = run_trial(cfg, pose, point_snr, mode, rng)
+            if not result.failed:
+                errors.append([result.squared_relative_error[p] for p in PARAMS])
+        nmse = np.mean(errors, axis=0) if errors else np.full(len(PARAMS), np.nan)
+        for p, value_p in zip(PARAMS, nmse):
+            rows[axis, float(value), p] = (float(value_p), trials - len(errors))
+    return rows
+
+
+@pytest.mark.parametrize("mode", list(ChannelMode))
+def test_run_sweep_matches_trial_loop(mode):
+    # a sweep runs its trials as stacks; each trial must come out as it does
+    # on its own, up to the rounding of numpy's SIMD complex multiply
+    trials = 41
+    sweeps = (
+        # at N = 225, 0 and -10 dB fail some trials (about 1% and 5% in
+        # Fresnel mode); -6160 dB overflows every trial's noise
+        (SystemConfig(n_x=15, n_y=15), {"snr_db": [0.0, -10.0]}, 15.0),
+        (SystemConfig(n_x=7, n_y=7), {"snr_db": [-6160.0], "K": [11, 15]}, 0.0),
+    )
+    failures = 0
+    for cfg, grid, snr_db in sweeps:
+        for _, _, point_cfg, _ in grid_points(cfg, grid):
+            chunk = mc_mod._chunk_size(point_cfg)
+            assert chunk > 1 and trials % chunk != 0
+        table = run_sweep(cfg, grid, trials, master_seed=4, snr_db=snr_db, mode=mode)
+        expected = trial_loop_rows(cfg, grid, trials, 4, snr_db, mode)
+        assert len(table.rows) == len(expected)
+        for row in table.rows:
+            nmse, row_failures = expected[row.sweep_var, row.sweep_value, row.param]
+            assert row.failures == row_failures
+            if row.sweep_value == -6160.0:
+                assert row.failures == trials and math.isnan(row.nmse)
+            else:
+                assert row.nmse == pytest.approx(nmse, rel=1e-9)
+                failures += row.failures
+    assert failures > 0  # a stack with some failed trials was exercised
+
+
+def test_stack_with_failed_trials(cfg):
+    # one NaN channel and one that fails the distance stage, inside a stack:
+    # each fails at its own stage, and the other trials match their one-trial
+    # estimates; no RuntimeWarning (the suite turns those into errors)
+    poses = [sample_pose(np.random.default_rng([3, t]), cfg) for t in range(6)]
+    a = sound_and_recover(ris_ue_channel(poses, cfg, ChannelMode.FRESNEL), cfg, 20.0,
+                          [np.random.default_rng([4, t]) for t in range(6)])
+    a[1, 3, 2] = np.nan
+    a[4] = 1.0
+    estimates, stage = estimate_pose_from_channel(a, cfg)
+    assert list(stage) == [None, "nonfinite", None, None, "distance", None]
+    assert np.isnan(estimates[[1, 4]]).all()
+    for t in (0, 2, 3, 5):
+        one = estimate_pose_from_channel(a[t], cfg).as_tuple()
+        np.testing.assert_allclose(estimates[t], one, rtol=1e-12)
+    # the NaN channel draws no noise and leaves its generator untouched;
+    # the others get their own generator's noise
+    rngs = [np.random.default_rng([5, t]) for t in range(6)]
+    noisy = sound_and_recover(a, cfg, 10.0, rngs)
+    assert np.isnan(noisy[1, 3, 2])
+    assert rngs[1].standard_normal() == np.random.default_rng([5, 1]).standard_normal()
+    for t in (0, 2, 3, 4, 5):
+        one = sound_and_recover(a[t], cfg, 10.0, np.random.default_rng([5, t]))
+        np.testing.assert_allclose(noisy[t], one, rtol=1e-12, atol=1e-12)
 
 
 def test_run_sweep_n_axis_resizes_ris(cfg):
