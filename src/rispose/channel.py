@@ -248,12 +248,13 @@ def _pilot_inverse(w: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
     Sums the w_p that share a residue ``p mod n_ris`` and averages them,
     then inverts the pilots as an inverse FFT over the pilot axis whose
-    first k_ue columns are kept: shape (n_ris, k_ue).
+    first k_ue columns are kept: shape (n_ris, k_ue).  Overwrites ``w``.
     """
     n = cfg.n_ris
     _, _, counts = _link(cfg)
     # profile p is DFT row p mod n: sum the chunks of n consecutive profiles
-    folded = w[:n].copy()
+    # into the first chunk, in place
+    folded = w[:n]
     for start in range(n, cfg.p_profiles, n):
         chunk = w[start:start + n]
         folded[:len(chunk)] += chunk

@@ -215,15 +215,11 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> float | np.ndarray:
         return np.divide(coeff, phases, out=np.zeros_like(phases), where=ok)
 
     # coarse distance from the |2k+1| = 1 pairs (k = -1 and k = 0)
-    center = np.zeros(phases.shape, dtype=bool)
-    center[:, kh - 1:kh + 1] = True
-    nonzero = np.isfinite(phases) & (phases != 0.0)
-    coarse = inverted(center & nonzero)
+    center = np.abs(2 * k_vals + 1) == 1
+    coarse = inverted(center & np.isfinite(phases) & (phases != 0.0))
     coarse = _masked_mean(coarse, coarse > 0)
-    has_coarse = np.isfinite(coarse)
-    if has_coarse.any():
-        branch = _nearest_branch(phases[has_coarse], coeff / coarse[has_coarse, None])
-        phases[has_coarse] = branch
+    has = np.isfinite(coarse)
+    phases[has] = _nearest_branch(phases[has], coeff / coarse[has, None])
 
     valid = np.isfinite(phases) & (phases != 0.0)
     r_hat = _masked_mean(inverted(valid), valid)
@@ -425,16 +421,19 @@ def _estimate_stack(a: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.nd
         stage[idx[failed]] = name
         return ~failed
 
+    def alive():
+        return a if idx.size == len(a) else a[idx]
+
     if idx.size:
-        r = estimate_distance(distance_transform(a[idx]), cfg)
+        r = estimate_distance(distance_transform(alive()), cfg)
         keep = survivors("distance", r)
         idx, r = idx[keep], r[keep]
     if idx.size:
-        theta, phi, dex, dey, _ = estimate_direction(direction_transform(a[idx]), cfg)
+        theta, phi, dex, dey, _ = estimate_direction(direction_transform(alive()), cfg)
         keep = survivors("direction", theta)
         idx, r, theta, phi, dex, dey = (x[keep] for x in (idx, r, theta, phi, dex, dey))
     if idx.size:
-        psi, gamma, _ = estimate_orientation(orientation_transform(a[idx]),
+        psi, gamma, _ = estimate_orientation(orientation_transform(alive()),
                                              dex, dey, r, cfg)
         keep = survivors("orientation", psi)
         estimates[idx[keep]] = np.stack([r, theta, phi, psi, gamma], axis=1)[keep]

@@ -37,7 +37,7 @@ POSE_STREAM_CODE = 4
 # set by peak RSS, which it raises by about 0.6 MB at N = 49 to 225 (speed
 # gains flatten beyond it).  Each trial's noise still goes through one
 # reused (P, M, L) buffer.
-_CHUNK_BYTES = 96 * 1024
+_CHUNK_BYTES = 128 * 1024
 
 NMSE_DEFINITION = ("mean over non-failed trials of ((est - true) / true)^2 "
                    "per parameter; angles in radians")

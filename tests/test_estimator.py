@@ -189,6 +189,11 @@ def test_tls_phase_ratio_matches_svd_per_column():
     single = tls_phase_ratio(u[:, 0], v[:, 0])
     assert isinstance(single, complex)
     assert single == pytest.approx(expected[0], rel=1e-12)
+    # a (T, n, cols) stack of trials fits each trial on its own
+    stacked = tls_phase_ratio(np.stack([u, v[::-1]]), np.stack([v, u[::-1]]))
+    assert stacked.shape == (2, cols)
+    np.testing.assert_allclose(stacked[0][ok], got[ok], rtol=1e-12)
+    np.testing.assert_allclose(stacked[1], tls_phase_ratio(v[::-1], u[::-1]), rtol=1e-12)
 
 
 def test_tls_phase_ratio_input_validation():
