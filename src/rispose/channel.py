@@ -334,16 +334,14 @@ def sound_and_recover(a: np.ndarray, cfg: SystemConfig, snr_db: float,
     coef = h_b.conj()
     plane = np.empty((cfg.p_profiles, cfg.m_bs, cfg.l_pilot))
     x = np.empty((noisy.size, cfg.n_ris, cfg.k_ue), complex)
-    for t, out in zip(noisy, x):
+    for t, x_t in zip(noisy, x):
         rngs[t].standard_normal(out=plane)
         w = _project(plane, coef)
         rngs[t].standard_normal(out=plane)
         w += _project(plane, 1j * coef)
-        out[...] = _pilot_inverse(w, cfg)
+        x_t[...] = _pilot_inverse(w, cfg)
     noise = _profile_inverse(x, cfg)
     noise *= std[noisy, None, None]
-    if a.ndim == 2:
-        return a + noise[0]
     out = stack.copy()
     out[noisy] += noise
-    return out
+    return out[0] if a.ndim == 2 else out

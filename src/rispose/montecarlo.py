@@ -32,9 +32,9 @@ AXIS_CODES = {"snr_db": 0, "N": 1, "K": 2, "P": 3}
 POSE_STREAM_CODE = 4
 
 # A sweep stacks as many trials as fit their (n_ris, k_ue) complex channels
-# into this many bytes (``_chunk_size``).  The estimator holds about nine
+# into this many bytes (``_chunk_size``).  The estimator holds about eight
 # such stacks at once, so the budget bounds the sweep's extra memory; it is
-# set by peak RSS, which it raises by about 0.6 MB at N = 49 to 225 (speed
+# set by peak RSS, which it raises by 0.3-0.8 MB at N = 49 to 225 (speed
 # gains flatten beyond it).  Each trial's noise still goes through one
 # reused (P, M, L) buffer.
 _CHUNK_BYTES = 128 * 1024
