@@ -18,9 +18,12 @@ for all columns at once, and converted back to a parameter through its
 phase.  All of it is exact for the Fresnel channel model and approximate
 for true Euclidean distances.
 
-Every stage also takes a (T, n_ris, k_ue) stack of T trials and runs the
-same arithmetic on all of them at once; one matrix is the T = 1 case.  On
-a stack a failed trial is marked (NaN, or a stage name) instead of raising.
+Every stage works on a (T, n_ris, k_ue) stack of T trials and runs the
+same arithmetic on all of them at once; a single (n_ris, k_ue) channel is
+a stack of one.  A stage marks a failed trial with NaN, and the one
+orchestration (``_estimate_stack``) gives it a stage name.  Only
+``estimate_pose_from_channel`` on a single channel raises, from that
+trial's stack row.
 """
 
 from __future__ import annotations
@@ -34,6 +37,18 @@ from .channel import recover_channel
 from .geometry import Pose, SystemConfig
 
 _TLS_TOL = 1e-12
+
+# the message of the EstimationError raised for one channel failing a stage
+_FAILURES = {
+    "nonfinite": "recovered channel is not finite",
+    "distance": "every column-pair phase was zero or unidentifiable, or the "
+                "distance was non-physical (infinite-distance indication)",
+    "direction": "shift ratios unidentifiable in every column, or both "
+                 "direction phases vanish",
+    "orientation": "orientation phases unidentifiable for every antenna",
+}
+_FIELDS = ("r_hat", "theta_hat", "phi_hat", "psi_hat", "gamma_hat")
+_COUNTS = ("direction_skipped_cols", "orientation_skipped")
 
 
 class EstimationError(Exception):
@@ -188,8 +203,8 @@ def _nearest_branch(phase: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     return phase + 2 * np.pi * np.round((predicted - phase) / (2 * np.pi))
 
 
-def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> float | np.ndarray:
-    """Distance from the distance transform ``b``, shape (n_ris, k_ue).
+def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Distances from a (T, n_ris, k_ue) stack ``b`` of distance transforms.
 
     Each adjacent column pair (k, k+1) yields a phase whose model value is
     ``-2 pi (2k+1) d_u^2 / (wavelength r)``.  The two center pairs, where
@@ -198,10 +213,8 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> float | np.ndarray:
     nearest their model prediction before inverting.  The estimate is the
     mean of the per-pair distances.
 
-    A (T, n_ris, k_ue) stack gives a (T,) array, NaN where a trial fails.
-
-    Raises:
-        EstimationError: for one matrix, if the stage fails.
+    Returns:
+        A (T,) array, NaN where a trial fails.
     """
     stack = _trials(b, cfg)
     kh = cfg.k_half
@@ -223,20 +236,12 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> float | np.ndarray:
 
     valid = np.isfinite(phases) & (phases != 0.0)
     r_hat = _masked_mean(inverted(valid), valid)
-    failed = ~(np.isfinite(r_hat) & (r_hat > 0))
-    if b.ndim == 3:
-        r_hat[failed] = np.nan
-        return r_hat
-    if not valid.any():
-        raise EstimationError("distance", "every column-pair phase was zero or "
-                              "unidentifiable (infinite-distance indication)")
-    if failed[0]:
-        raise EstimationError("distance", f"non-physical distance {float(r_hat[0])!r}")
-    return float(r_hat[0])
+    r_hat[~(np.isfinite(r_hat) & (r_hat > 0))] = np.nan
+    return r_hat
 
 
 def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
-    """Position azimuth/elevation from the direction transform ``c``.
+    """Position azimuth/elevation from a stack ``c`` of direction transforms.
 
     Per column, a TLS fit over x-axis (y-axis) row pairs estimates the two
     element-shift ratios; the complex ratios are averaged over the columns
@@ -246,12 +251,8 @@ def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
     the raw value kept as a diagnostic).
 
     Returns:
-        (theta_hat, phi_hat, delta_ex, delta_ey, diagnostics).  A
-        (T, n_ris, k_ue) stack gives (T,) arrays, NaN where a trial fails,
-        and diagnostics of (T,) arrays.
-
-    Raises:
-        EstimationError: for one matrix, if the stage fails.
+        (theta_hat, phi_hat, delta_ex, delta_ey, diagnostics): (T,) arrays,
+        NaN where a trial fails, and diagnostics of (T,) arrays.
     """
     stack = _trials(c, cfg)
     ratios_x, ratios_y = _shift_ratios(stack, cfg)
@@ -267,24 +268,16 @@ def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
     theta_hat = np.arctan2(ay, ax)
     cos_arg = cfg.wavelength / (4 * math.pi) * np.hypot(ax, ay)
     phi_hat = np.arccos(np.clip(cos_arg, 0.0, 1.0))
-    if c.ndim == 3:
-        for x in (theta_hat, phi_hat, delta_ex, delta_ey):
-            x[vanish] = np.nan
-        diag = {"phi_cos_arg": cos_arg, "direction_skipped_cols": skipped}
-        return theta_hat, phi_hat, delta_ex, delta_ey, diag
-    if not fit.any():
-        raise EstimationError("direction", "shift ratio unidentifiable in every column")
-    if vanish[0]:
-        raise EstimationError("direction", "both direction phases vanish")
-    diag = {"phi_cos_arg": float(cos_arg[0]), "direction_skipped_cols": int(skipped[0])}
-    return (float(theta_hat[0]), float(phi_hat[0]), complex(delta_ex[0]),
-            complex(delta_ey[0]), diag)
+    for x in (theta_hat, phi_hat, delta_ex, delta_ey):
+        x[vanish] = np.nan
+    diag = {"phi_cos_arg": cos_arg, "direction_skipped_cols": skipped}
+    return theta_hat, phi_hat, delta_ex, delta_ey, diag
 
 
 def estimate_orientation(
     d: np.ndarray, delta_ex, delta_ey, r_hat, cfg: SystemConfig
 ) -> tuple:
-    """Orientation azimuth/elevation from the orientation transform ``d``.
+    """Orientation azimuth/elevation from a stack ``d`` of orientation transforms.
 
     For each off-center antenna k, the x/y shift ratios are divided by the
     direction ratios to leave pure orientation phases that scale with
@@ -293,23 +286,17 @@ def estimate_orientation(
     nearest k times that slope (left as is if neither |k| = 1 antenna was
     fitted).  Each k yields an azimuth (sign-corrected so negative k does
     not flip the quadrant) and an elevation.  The azimuths are averaged on
-    the circle, the elevations arithmetically.
-
-    A (T, n_ris, k_ue) stack takes (T,) arrays of the direction ratios and
-    distances.
+    the circle, the elevations arithmetically.  The direction ratios and
+    distances are (T,) arrays, or scalars for a stack of one.
 
     Returns:
-        (psi_hat, gamma_hat, diagnostics); (T,) arrays for a stack, NaN
-        where a trial fails, with diagnostics of (T,) and (T, k_ue) arrays.
-
-    Raises:
-        EstimationError: for one matrix, if the stage fails.
+        (psi_hat, gamma_hat, diagnostics): (T,) arrays, NaN where a trial
+        fails (also where its distance is not finite and positive), with
+        diagnostics of (T,) and (T, k_ue) arrays.
     """
     stack = _trials(d, cfg)
     r_hat = np.asarray(r_hat, dtype=float).reshape(-1)
     bad_r = ~(np.isfinite(r_hat) & (r_hat > 0))
-    if d.ndim == 2 and bad_r[0]:
-        raise EstimationError("orientation", f"invalid distance input {float(r_hat[0])!r}")
     # the center antenna carries no orientation phase
     k = cfg.antenna_offsets()
     off_center = k != 0
@@ -344,20 +331,12 @@ def estimate_orientation(
     psi_per_k[:, off_center] = np.where(has_azimuth, psi, np.nan)
     gamma_per_k = np.full(stack.shape[::2], np.nan)
     gamma_per_k[:, off_center] = np.where(used, gamma, np.nan)
-    cos_arg_max = np.where(used, cos_args, -np.inf).max(axis=-1)
-    if d.ndim == 3:
-        psi_hat[failed] = np.nan
-        gamma_hat[failed] = np.nan
-        diag = {"gamma_cos_arg_max": cos_arg_max, "orientation_skipped": skipped,
-                "psi_per_k": psi_per_k, "gamma_per_k": gamma_per_k}
-        return psi_hat, gamma_hat, diag
-    if failed[0]:
-        raise EstimationError(
-            "orientation", "orientation phases unidentifiable for every antenna")
-    diag = {"gamma_cos_arg_max": float(cos_arg_max[0]),
-            "orientation_skipped": int(skipped[0]),
-            "psi_per_k": psi_per_k[0], "gamma_per_k": gamma_per_k[0]}
-    return float(psi_hat[0]), float(gamma_hat[0]), diag
+    psi_hat[failed] = np.nan
+    gamma_hat[failed] = np.nan
+    diag = {"gamma_cos_arg_max": np.where(used, cos_args, -np.inf).max(axis=-1),
+            "orientation_skipped": skipped,
+            "psi_per_k": psi_per_k, "gamma_per_k": gamma_per_k}
+    return psi_hat, gamma_hat, diag
 
 
 def estimate_pose_from_channel(
@@ -370,53 +349,54 @@ def estimate_pose_from_channel(
         cfg: system parameters.
 
     Returns:
-        For one channel, a PoseEstimate with all five parameters and stage
-        diagnostics.  For a stack, ``(estimates, stage)``: a (T, 5) array of
-        (r, theta, phi, psi, gamma) rows, NaN where a trial failed, and a
-        (T,) object array holding each failed trial's stage name, else None.
-        One trial's failure never affects the others.
+        For a stack, ``(estimates, stage)`` as ``_estimate_stack`` gives
+        them; one trial's failure never affects the others.  For one
+        channel, the stack of one as a PoseEstimate with all five
+        parameters and the stage diagnostics.
 
     Raises:
         EstimationError: for one channel, if any stage fails; ``partial``
-            carries whatever earlier stages produced.  Stage ``nonfinite``
+            carries the values of the stages it passed.  Stage ``nonfinite``
             means ``a`` holds an inf or NaN, as after noise that overflowed.
     """
+    estimates, stage, diagnostics = _estimate_stack(_trials(a, cfg), cfg)
     if a.ndim == 3:
-        return _estimate_stack(_trials(a, cfg), cfg)
-    if not np.isfinite(a).all():
-        raise EstimationError("nonfinite", "recovered channel is not finite")
-    partial: dict = {}
-    try:
-        r_hat = estimate_distance(distance_transform(a), cfg)
-        partial["r_hat"] = r_hat
-        theta_hat, phi_hat, dex, dey, diag_dir = estimate_direction(
-            direction_transform(a), cfg)
-        partial.update({"theta_hat": theta_hat, "phi_hat": phi_hat})
-        psi_hat, gamma_hat, diag_ori = estimate_orientation(
-            orientation_transform(a), dex, dey, r_hat, cfg)
-    except EstimationError as err:
-        err.partial = {**partial, **err.partial}
-        raise
-    diagnostics = {**diag_dir, **diag_ori}
-    return PoseEstimate(
-        r_hat=r_hat, theta_hat=theta_hat, phi_hat=phi_hat,
-        psi_hat=psi_hat, gamma_hat=gamma_hat, diagnostics=diagnostics,
-    )
+        return estimates, stage
+    row = estimates[0].tolist()
+    if stage[0] is not None:
+        raise EstimationError(stage[0], _FAILURES[stage[0]],
+                              {k: x for k, x in zip(_FIELDS, row) if not math.isnan(x)})
+    diagnostics = {k: x[0] if x.ndim > 1 else float(x[0]) for k, x in diagnostics.items()}
+    diagnostics.update((k, int(diagnostics[k])) for k in _COUNTS)
+    return PoseEstimate(*row, diagnostics=diagnostics)
 
 
-def _estimate_stack(a: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The three stages on a (T, n_ris, k_ue) stack; see ``estimate_pose_from_channel``.
+def _estimate_stack(a: np.ndarray,
+                    cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The three stages on a (T, n_ris, k_ue) stack.
 
     Each stage runs on the trials that passed the earlier ones only, so a
     failed trial's NaN never reaches the arithmetic of another stage.
+
+    Returns:
+        ``(estimates, stage, diagnostics)``: a (T, 5) array of (r, theta,
+        phi, psi, gamma) rows holding the values of the stages each trial
+        passed, NaN after them; a (T,) object array holding each failed
+        trial's stage name, else None; and the stages' diagnostics as (T,)
+        and (T, k_ue) arrays, NaN where a trial did not reach that stage
+        (a stage that no trial reached adds no keys).
     """
     estimates = np.full((len(a), 5), np.nan)
     stage = np.full(len(a), None, dtype=object)
+    diagnostics: dict = {}
     finite = np.isfinite(a).all(axis=(1, 2))
     stage[~finite] = "nonfinite"
     idx = np.flatnonzero(finite)
 
-    def survivors(name, value):
+    def survivors(name, value, diag):
+        for key, x in diag.items():
+            diagnostics[key] = np.full((len(a), *x.shape[1:]), np.nan)
+            diagnostics[key][idx] = x
         failed = np.isnan(value)
         stage[idx[failed]] = name
         return ~failed
@@ -426,18 +406,20 @@ def _estimate_stack(a: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.nd
 
     if idx.size:
         r = estimate_distance(distance_transform(alive()), cfg)
-        keep = survivors("distance", r)
+        keep = survivors("distance", r, {})
         idx, r = idx[keep], r[keep]
+        estimates[idx, 0] = r
     if idx.size:
-        theta, phi, dex, dey, _ = estimate_direction(direction_transform(alive()), cfg)
-        keep = survivors("direction", theta)
+        theta, phi, dex, dey, diag = estimate_direction(direction_transform(alive()), cfg)
+        keep = survivors("direction", theta, diag)
         idx, r, theta, phi, dex, dey = (x[keep] for x in (idx, r, theta, phi, dex, dey))
+        estimates[idx, 1:3] = np.stack([theta, phi], axis=1)
     if idx.size:
-        psi, gamma, _ = estimate_orientation(orientation_transform(alive()),
-                                             dex, dey, r, cfg)
-        keep = survivors("orientation", psi)
-        estimates[idx[keep]] = np.stack([r, theta, phi, psi, gamma], axis=1)[keep]
-    return estimates, stage
+        psi, gamma, diag = estimate_orientation(orientation_transform(alive()),
+                                                dex, dey, r, cfg)
+        keep = survivors("orientation", psi, diag)
+        estimates[idx[keep], 3:] = np.stack([psi, gamma], axis=1)[keep]
+    return estimates, stage, diagnostics
 
 
 def estimate_pose(y: np.ndarray, cfg: SystemConfig) -> PoseEstimate:

@@ -139,8 +139,8 @@ class Pose:
     gamma: float
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r!r}")
+        if not (self.r > 0 and math.isfinite(self.r)):
+            raise ValueError(f"r must be positive and finite, got {self.r!r}")
         for name, hi in (("theta", math.pi), ("phi", math.pi / 2),
                          ("psi", math.pi), ("gamma", math.pi / 2)):
             v = getattr(self, name)

@@ -242,6 +242,7 @@ def test_cli_estimate_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["estimate", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert main(["estimate", "--pose", "1,2,3"]) == 2  # wrong arity
     assert main(["estimate", "--pose", "2.5,70,0,110,45"]) == 2  # phi = 0
+    assert main(["estimate", "--pose", "inf,70,35,110,45"]) == 2  # r = inf
     assert main(["estimate", "--snr-db", "nan"]) == 2
     assert main(["estimate", "--snr-db=-inf"]) == 2
     for text in ("power_dbm = 4000\n", "power_dbm = inf\n", "d_x = inf\n",

@@ -237,9 +237,15 @@ def test_estimate_distance_wrapped_phases():
 
 
 def test_estimate_distance_infinite_distance_failure(cfg):
+    # zero phase on every column pair: the stage gives NaN, and the one
+    # channel fails at stage distance with no partial results
+    a = np.ones((cfg.n_ris, cfg.k_ue), dtype=complex)
+    r_hat = estimate_distance(distance_transform(a), cfg)
+    assert r_hat.shape == (1,) and np.isnan(r_hat).all()
     with pytest.raises(EstimationError) as exc:
-        estimate_distance(np.ones((cfg.n_ris, cfg.k_ue), dtype=complex), cfg)
+        estimate_pose_from_channel(a, cfg)
     assert exc.value.stage == "distance"
+    assert exc.value.partial == {}
 
 
 def test_estimate_distance_shape_check(cfg):
@@ -306,7 +312,7 @@ def test_estimate_orientation_noiseless(cfg, pose):
     assert psi == pytest.approx(pose.psi, abs=1e-6)
     assert gamma == pytest.approx(pose.gamma, abs=1e-6)
     assert diag["orientation_skipped"] == 1
-    assert math.isnan(diag["gamma_per_k"][0])
+    assert math.isnan(diag["gamma_per_k"][0, 0])
 
 
 def test_estimate_orientation_sign_symmetry(cfg, pose):
@@ -314,8 +320,8 @@ def test_estimate_orientation_sign_symmetry(cfg, pose):
     d = orientation_transform(fresnel(pose, cfg))
     ex, ey = direction_shifts(pose, cfg)
     _, _, diag = estimate_orientation(d, ex, ey, pose.r, cfg)
-    psi_k = diag["psi_per_k"]
-    gamma_k = diag["gamma_per_k"]
+    psi_k, = diag["psi_per_k"]
+    gamma_k, = diag["gamma_per_k"]
     for k in range(1, cfg.k_half + 1):
         assert psi_k[cfg.k_half + k] == pytest.approx(psi_k[cfg.k_half - k],
                                                       abs=1e-9)
@@ -337,20 +343,41 @@ def test_estimate_orientation_flat_limit(cfg, pose):
 
 def test_estimate_orientation_all_zero_phases_fail(cfg, pose, monkeypatch):
     ex, ey = direction_shifts(pose, cfg)
-    # every column's x and y ratios collapse to ex
-    monkeypatch.setattr(est_mod, "tls_phase_ratio",
-                        lambda u, v: np.full(u.shape[:-2] + u.shape[-1:], ex))
+    stage = est_mod.estimate_orientation
+
+    def collapsed(u, v):
+        # every column's x and y ratios collapse to ex
+        return np.full(u.shape[:-2] + u.shape[-1:], ex)
+
+    def zero_phases(d, delta_ex, delta_ey, r_hat, cfg):
+        monkeypatch.setattr(est_mod, "tls_phase_ratio", collapsed)
+        return stage(d, ex, ex, r_hat, cfg)
+
     d = np.ones((cfg.n_ris, cfg.k_ue), dtype=complex)
+    psi, gamma, _ = zero_phases(d, None, None, pose.r, cfg)
+    assert np.isnan(psi).all() and np.isnan(gamma).all()
+    # the earlier stages see the true ratios; the orientation stage fails
+    monkeypatch.undo()
+    monkeypatch.setattr(est_mod, "estimate_orientation", zero_phases)
     with pytest.raises(EstimationError) as exc:
-        estimate_orientation(d, ex, ex, pose.r, cfg)
+        estimate_pose_from_channel(fresnel(pose, cfg), cfg)
     assert exc.value.stage == "orientation"
+    assert exc.value.partial["r_hat"] == pytest.approx(pose.r, rel=1e-6)
 
 
-def test_estimate_orientation_requires_positive_distance(cfg, pose):
+def test_estimate_orientation_requires_positive_distance(cfg, pose, monkeypatch):
     d = orientation_transform(fresnel(pose, cfg))
     ex, ey = direction_shifts(pose, cfg)
-    with pytest.raises(EstimationError):
-        estimate_orientation(d, ex, ey, -1.0, cfg)
+    for r_hat in (-1.0, 0.0, math.inf):
+        psi, gamma, _ = estimate_orientation(d, ex, ey, r_hat, cfg)
+        assert np.isnan(psi).all() and np.isnan(gamma).all()
+    # a negative distance that gets past the distance stage fails orientation
+    monkeypatch.setattr(est_mod, "estimate_distance",
+                        lambda b, cfg: np.full(len(b), -1.0))
+    with pytest.raises(EstimationError) as exc:
+        estimate_pose_from_channel(fresnel(pose, cfg), cfg)
+    assert exc.value.stage == "orientation"
+    assert exc.value.partial["r_hat"] == -1.0
 
 
 def test_orientation_azimuth_near_pi_does_not_wrap(cfg):
@@ -423,15 +450,29 @@ def test_estimate_pose_full_pipeline(cfg, pose):
 
 
 def test_estimate_pose_partial_results_on_late_failure(cfg, pose, monkeypatch):
-    def boom(*args, **kwargs):
-        raise EstimationError("orientation", "forced failure")
+    # a stage fails a trial with NaN; partial holds the stages it passed
+    def failed_orientation(d, *args):
+        return np.full(len(d), np.nan), np.full(len(d), np.nan), {}
 
-    monkeypatch.setattr(est_mod, "estimate_orientation", boom)
+    monkeypatch.setattr(est_mod, "estimate_orientation", failed_orientation)
     with pytest.raises(EstimationError) as exc:
         estimate_pose_from_channel(fresnel(pose, cfg), cfg)
     assert exc.value.stage == "orientation"
+    assert set(exc.value.partial) == {"r_hat", "theta_hat", "phi_hat"}
     assert exc.value.partial["r_hat"] == pytest.approx(pose.r, rel=1e-6)
     assert exc.value.partial["theta_hat"] == pytest.approx(pose.theta, abs=1e-6)
+    assert exc.value.partial["phi_hat"] == pytest.approx(pose.phi, abs=1e-6)
+
+    def failed_direction(c, cfg):
+        nan = np.full(len(c), np.nan)
+        return nan, nan, nan + 0j, nan + 0j, {}
+
+    monkeypatch.setattr(est_mod, "estimate_direction", failed_direction)
+    with pytest.raises(EstimationError) as exc:
+        estimate_pose_from_channel(fresnel(pose, cfg), cfg)
+    assert exc.value.stage == "direction"
+    assert list(exc.value.partial) == ["r_hat"]
+    assert exc.value.partial["r_hat"] == pytest.approx(pose.r, rel=1e-6)
 
 
 def test_estimate_pose_error_names_stage_once(cfg):

@@ -67,6 +67,9 @@ def test_system_config_profile_default_resolves_to_ris_size():
 def test_pose_validation():
     with pytest.raises(ValueError):
         Pose(r=-1.0, theta=1.0, phi=0.5, psi=1.0, gamma=0.5)
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Pose(r=r, theta=1.0, phi=0.5, psi=1.0, gamma=0.5)
     with pytest.raises(ValueError):
         Pose(r=2.0, theta=0.0, phi=0.5, psi=1.0, gamma=0.5)
     with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ import rispose
 import rispose.estimator as est_mod
 import rispose.montecarlo as mc_mod
 from rispose.channel import ChannelMode, ris_ue_channel, sound_and_recover
-from rispose.estimator import PoseEstimate, estimate_pose_from_channel
+from rispose.estimator import (EstimationError, PoseEstimate,
+                               estimate_pose_from_channel)
 from rispose.geometry import Pose, SystemConfig, sample_pose
 from rispose.montecarlo import (AXIS_CODES, PARAMS, NmseTable, grid_points,
                                 pose_seed, run_sweep, run_trial, trial_seed)
@@ -276,20 +277,34 @@ def test_run_sweep_matches_trial_loop(mode):
 
 
 def test_stack_with_failed_trials(cfg):
-    # one NaN channel and one that fails the distance stage, inside a stack:
-    # each fails at its own stage, and the other trials match their one-trial
-    # estimates; no RuntimeWarning (the suite turns those into errors)
+    # a NaN channel, one that fails the distance stage and one that fails the
+    # direction stage, inside a stack: each fails at its own stage, and every
+    # trial matches its one-channel call; no RuntimeWarning (the suite turns
+    # those into errors)
     poses = [sample_pose(np.random.default_rng([3, t]), cfg) for t in range(6)]
     a = sound_and_recover(ris_ue_channel(poses, cfg, ChannelMode.FRESNEL), cfg, 20.0,
                           [np.random.default_rng([4, t]) for t in range(6)])
     a[1, 3, 2] = np.nan
     a[4] = 1.0
+    # a phase on the columns only (0 or pi/2, so the products are exact): the
+    # column pairs give a distance, but every row pair of the direction
+    # transform is equal, so both direction phases vanish
+    a[2] = np.where(cfg.antenna_offsets() % 2 == 0, 1, 1j)
     estimates, stage = estimate_pose_from_channel(a, cfg)
-    assert list(stage) == [None, "nonfinite", None, None, "distance", None]
+    assert list(stage) == [None, "nonfinite", "direction", None, "distance", None]
     assert np.isnan(estimates[[1, 4]]).all()
-    for t in (0, 2, 3, 5):
-        one = estimate_pose_from_channel(a[t], cfg).as_tuple()
-        np.testing.assert_allclose(estimates[t], one, rtol=1e-12)
+    assert estimates[2, 0] > 0 and np.isnan(estimates[2, 1:]).all()
+    for t in range(6):
+        if stage[t] is None:
+            one = estimate_pose_from_channel(a[t], cfg).as_tuple()
+            np.testing.assert_allclose(estimates[t], one, rtol=1e-12)
+            continue
+        with pytest.raises(EstimationError) as exc:
+            estimate_pose_from_channel(a[t], cfg)
+        assert exc.value.stage == stage[t]
+        row = dict(zip(("r_hat", "theta_hat", "phi_hat", "psi_hat", "gamma_hat"),
+                       estimates[t].tolist()))
+        assert exc.value.partial == {k: x for k, x in row.items() if not math.isnan(x)}
     # the NaN channel draws no noise and leaves its generator untouched;
     # the others get their own generator's noise
     rngs = [np.random.default_rng([5, t]) for t in range(6)]
