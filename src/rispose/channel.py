@@ -9,8 +9,8 @@ K pilots of L symbols.  Profile p is row p mod N of the N-point DFT matrix
 and the pilots are the first K rows of the L-point DFT matrix, so ``observe``
 is ``h_b`` times a 2-D FFT of the channel, and ``recover_channel`` its exact
 inverse: a projection on ``h_b``, then two inverse FFTs.  ``sound_and_recover``,
-the Monte Carlo trial path, is that round trip without forming the observation;
-like ``ris_ue_channel`` it also takes a stack of T trials.
+the Monte Carlo trial path, is that round trip on a stack of T trials without
+forming the observation.
 No BLAS routine runs; ``validate`` checks all three against the dense forms.
 """
 
@@ -19,11 +19,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
-from .geometry import Pose, SystemConfig, unit_direction
+from .geometry import SystemConfig, unit_direction
 
 
 class ChannelMode(enum.Enum):
@@ -33,8 +32,7 @@ class ChannelMode(enum.Enum):
     FRESNEL = "fresnel"
 
 
-def ris_ue_channel(pose: Pose | Sequence[Pose], cfg: SystemConfig,
-                   mode: ChannelMode) -> np.ndarray:
+def ris_ue_channel(pose: np.ndarray, cfg: SystemConfig, mode: ChannelMode) -> np.ndarray:
     """Near-field RIS-UE channel matrix, shape (n_ris, k_ue), complex.
 
     Entry (i, k) is ``exp(-j 2 pi (r_ik - r) / wavelength)`` where ``r_ik``
@@ -46,25 +44,26 @@ def ris_ue_channel(pose: Pose | Sequence[Pose], cfg: SystemConfig,
     it exactly, and are biased on EXACT channels unless ``e.g`` is near 0.
 
     Args:
-        pose: user pose, or a sequence of T poses.
+        pose: a pose array, (r, theta, phi, psi, gamma) on its last axis
+            (``Pose.as_tuple()`` for a ``Pose``).  Any value is modelled,
+            the box edges included (an estimate can sit on them).
         cfg: system parameters.
         mode: distance model.
 
     Returns:
         Complex matrix with rows in linear element order (x-major, y varying
-        fastest) and columns in antenna order -k_half ... k_half; for T
-        poses, a (T, n_ris, k_ue) stack of them.
+        fastest) and columns in antenna order -k_half ... k_half, behind the
+        pose array's leading axes: (n_ris, k_ue) for a (5,) pose, a
+        (T, n_ris, k_ue) stack for (T, 5) poses.
     """
-    poses = [pose] if isinstance(pose, Pose) else pose
+    pose = np.asarray(pose, dtype=float)
     # element coordinates on the two grid axes, antenna offsets on the last;
-    # pose quantities carry a leading trial axis, shape (T, 1, 1, 1)
+    # pose quantities broadcast over them, shape (..., 1, 1, 1)
     sx = (np.arange(cfg.n_x) - cfg.n_x // 2)[:, None, None] * cfg.d_x
     sy = (np.arange(cfg.n_y) - cfg.n_y // 2)[None, :, None] * cfg.d_y
     ku = cfg.antenna_offsets() * cfg.d_u
-    trial = (len(poses), 1, 1, 1)
-    r = np.array([p.r for p in poses]).reshape(trial)
-    e = np.array([unit_direction(p.theta, p.phi) for p in poses]).T.reshape(3, *trial)
-    g = np.array([unit_direction(p.psi, p.gamma) for p in poses]).T.reshape(3, *trial)
+    r, theta, phi, psi, gamma = np.moveaxis(pose, -1, 0)[..., None, None, None]
+    e, g = unit_direction(theta, phi), unit_direction(psi, gamma)
 
     if mode is ChannelMode.EXACT:
         # antenna positions r e + u g, one coordinate array per axis
@@ -82,8 +81,8 @@ def ris_ue_channel(pose: Pose | Sequence[Pose], cfg: SystemConfig,
         )
     else:
         raise ValueError(f"unknown channel mode {mode!r}")
-    a = np.exp(-2j * np.pi * excess.reshape(len(poses), cfg.n_ris, -1) / cfg.wavelength)
-    return a[0] if isinstance(pose, Pose) else a
+    excess = excess.reshape(*pose.shape[:-1], cfg.n_ris, -1)
+    return np.exp(-2j * np.pi * excess / cfg.wavelength)
 
 
 def _steering(count: int, zeta: float, wavelength: float) -> np.ndarray:
@@ -303,31 +302,25 @@ def recover_channel(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
 
 def sound_and_recover(a: np.ndarray, cfg: SystemConfig, snr_db: float,
-                      rng: np.random.Generator | Sequence[np.random.Generator]
-                      ) -> np.ndarray:
-    """``recover_channel(observe(a, cfg, snr_db, rng), cfg)``, unformed.
+                      rngs: list[np.random.Generator]) -> np.ndarray:
+    """``recover_channel(observe(a[t], cfg, snr_db, rngs[t]), cfg)`` for every t, unformed.
 
-    Recovery is an exact left inverse of the sounding, so that round trip
-    is ``a`` plus the recovered noise, and only the noise is computed:
-    ``observe``'s own draw (every real part, then every imaginary part)
-    goes plane by plane into one reused (P, M, L) buffer, and each plane is
-    projected on ``h_b`` before the next is drawn.  The generator ends in
-    the state ``observe`` leaves it in.  ``snr_db = inf`` returns ``a``
-    itself and leaves the generator untouched.  A finite SNR so low that
-    the noise overflows yields a nonfinite channel, as ``observe`` does.
-
-    ``a`` may also be a (T, n_ris, k_ue) stack with a sequence of T
-    generators: trial t's noise is drawn from ``rng[t]`` alone, exactly as
-    for that channel on its own, and the recovery runs on the whole stack.
-    A channel whose noise level is not positive (NaN included) gets no
-    noise and leaves its generator untouched.
+    ``a`` is a (T, n_ris, k_ue) stack and ``rngs`` its T generators; one
+    channel is a stack of one.  Recovery is an exact left inverse of the
+    sounding, so the round trip is the channel plus the recovered noise, and
+    only the noise is computed: trial t's is ``observe``'s own draw from
+    ``rngs[t]`` (every real part, then every imaginary part), plane by plane
+    into one reused (P, M, L) buffer, each plane projected on ``h_b`` before
+    the next is drawn.  Each generator ends where ``observe`` leaves it.  A
+    channel whose noise level is not positive (NaN included) draws no noise;
+    ``snr_db = inf`` returns ``a`` itself.  A finite SNR so low that the
+    noise overflows yields a nonfinite channel, as ``observe`` does.
 
     Raises:
         ValueError: if ``snr_db`` is NaN or -inf.
     """
-    stack, rngs = (a[None], [rng]) if a.ndim == 2 else (a, rng)
     h_b, h_r, _ = _link(cfg)
-    std = _noise_std(np.fft.fft(h_r.conj()[:, None] * stack, axis=-2), cfg, snr_db)
+    std = _noise_std(np.fft.fft(h_r.conj()[:, None] * a, axis=-2), cfg, snr_db)
     noisy = np.flatnonzero(std > 0)
     if noisy.size == 0:
         return a
@@ -342,6 +335,6 @@ def sound_and_recover(a: np.ndarray, cfg: SystemConfig, snr_db: float,
         x_t[...] = _pilot_inverse(w, cfg)
     noise = _profile_inverse(x, cfg)
     noise *= std[noisy, None, None]
-    out = stack.copy()
+    out = a.copy()
     out[noisy] += noise
-    return out[0] if a.ndim == 2 else out
+    return out

@@ -38,6 +38,10 @@ from .geometry import Pose, SystemConfig
 
 _TLS_TOL = 1e-12
 
+# A phase this close to 0 is rounding residue, not a measurement: c eps pi with
+# c = 64.  The pose box's smallest phases are many orders of magnitude above it.
+_ZERO_PHASE = 64 * np.finfo(float).eps * math.pi
+
 # the message of the EstimationError raised for one channel failing a stage
 _FAILURES = {
     "nonfinite": "recovered channel is not finite",
@@ -74,6 +78,13 @@ class PoseEstimate:
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.r_hat, self.theta_hat, self.phi_hat,
                 self.psi_hat, self.gamma_hat)
+
+    @classmethod
+    def from_stack(cls, estimates: np.ndarray, diagnostics: dict) -> PoseEstimate:
+        """The estimate of a stack of one, from its (1, 5) row and (1, ...) diagnostics."""
+        diag = {k: x[0] if x.ndim > 1 else float(x[0]) for k, x in diagnostics.items()}
+        diag.update((k, int(diag[k])) for k in _COUNTS)
+        return cls(*estimates[0].tolist(), diagnostics=diag)
 
 
 def distance_transform(a: np.ndarray) -> np.ndarray:
@@ -229,12 +240,12 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
     # coarse distance from the |2k+1| = 1 pairs (k = -1 and k = 0)
     center = np.abs(2 * k_vals + 1) == 1
-    coarse = inverted(center & np.isfinite(phases) & (phases != 0.0))
+    coarse = inverted(center & (np.abs(phases) > _ZERO_PHASE))
     coarse = _masked_mean(coarse, coarse > 0)
     has = np.isfinite(coarse)
     phases[has] = _nearest_branch(phases[has], coeff / coarse[has, None])
 
-    valid = np.isfinite(phases) & (phases != 0.0)
+    valid = np.abs(phases) > _ZERO_PHASE
     r_hat = _masked_mean(inverted(valid), valid)
     r_hat[~(np.isfinite(r_hat) & (r_hat > 0))] = np.nan
     return r_hat
@@ -261,10 +272,10 @@ def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
     delta_ex = _masked_mean(ratios_x, fit)
     delta_ey = _masked_mean(ratios_y, fit)
     skipped = cfg.k_ue - np.count_nonzero(fit, axis=-1)
-    ax = np.angle(delta_ex) / cfg.d_x
-    ay = np.angle(delta_ey) / cfg.d_y
-    # elevation exactly 90 degrees leaves the azimuth undefined
-    vanish = (ax == 0.0) & (ay == 0.0)
+    phase_x, phase_y = np.angle(delta_ex), np.angle(delta_ey)
+    ax, ay = phase_x / cfg.d_x, phase_y / cfg.d_y
+    # elevation 90 degrees leaves the azimuth undefined
+    vanish = (np.abs(phase_x) <= _ZERO_PHASE) & (np.abs(phase_y) <= _ZERO_PHASE)
     theta_hat = np.arctan2(ay, ax)
     cos_arg = cfg.wavelength / (4 * math.pi) * np.hypot(ax, ay)
     phi_hat = np.arccos(np.clip(cos_arg, 0.0, 1.0))
@@ -314,9 +325,9 @@ def estimate_orientation(
                                            slope[:, has_slope, None] * kc)
     alpha_x = phases[0] / cfg.d_x
     alpha_y = phases[1] / cfg.d_y
-    # exact zeros carry no azimuth information; averaging atan2(0, 0)
-    # would silently bias the mean toward zero
-    has_azimuth = used & ((alpha_x != 0.0) | (alpha_y != 0.0))
+    # zero phases carry no azimuth information; averaging atan2 of rounding
+    # residue would silently bias the mean
+    has_azimuth = used & (np.abs(phases) > _ZERO_PHASE).any(axis=0)
     psi = np.arctan2(sgn * alpha_y, sgn * alpha_x)
     cos_args = (cfg.wavelength * r_hat[:, None] / (4 * math.pi * np.abs(kc) * cfg.d_u)
                 * np.hypot(alpha_x, alpha_y))
@@ -341,7 +352,7 @@ def estimate_orientation(
 
 def estimate_pose_from_channel(
     a: np.ndarray, cfg: SystemConfig
-) -> PoseEstimate | tuple[np.ndarray, np.ndarray]:
+) -> PoseEstimate | tuple[np.ndarray, np.ndarray, dict]:
     """Run the three-stage estimator on an already recovered channel matrix.
 
     Args:
@@ -349,10 +360,10 @@ def estimate_pose_from_channel(
         cfg: system parameters.
 
     Returns:
-        For a stack, ``(estimates, stage)`` as ``_estimate_stack`` gives
-        them; one trial's failure never affects the others.  For one
-        channel, the stack of one as a PoseEstimate with all five
-        parameters and the stage diagnostics.
+        For a stack, ``(estimates, stage, diagnostics)`` as
+        ``_estimate_stack`` gives them; one trial's failure never affects
+        the others.  For one channel, the stack of one as a PoseEstimate
+        with all five parameters and the stage diagnostics.
 
     Raises:
         EstimationError: for one channel, if any stage fails; ``partial``
@@ -361,14 +372,12 @@ def estimate_pose_from_channel(
     """
     estimates, stage, diagnostics = _estimate_stack(_trials(a, cfg), cfg)
     if a.ndim == 3:
-        return estimates, stage
-    row = estimates[0].tolist()
+        return estimates, stage, diagnostics
     if stage[0] is not None:
         raise EstimationError(stage[0], _FAILURES[stage[0]],
-                              {k: x for k, x in zip(_FIELDS, row) if not math.isnan(x)})
-    diagnostics = {k: x[0] if x.ndim > 1 else float(x[0]) for k, x in diagnostics.items()}
-    diagnostics.update((k, int(diagnostics[k])) for k in _COUNTS)
-    return PoseEstimate(*row, diagnostics=diagnostics)
+                              {k: x for k, x in zip(_FIELDS, estimates[0].tolist())
+                               if not math.isnan(x)})
+    return PoseEstimate.from_stack(estimates, diagnostics)
 
 
 def _estimate_stack(a: np.ndarray,

@@ -153,11 +153,10 @@ class Pose:
         return (self.r, self.theta, self.phi, self.psi, self.gamma)
 
 
-def unit_direction(azimuth: float, elevation: float) -> np.ndarray:
-    """Unit vector for an azimuth/elevation pair, shape (3,)."""
-    ca, sa = math.cos(azimuth), math.sin(azimuth)
-    ce, se = math.cos(elevation), math.sin(elevation)
-    return np.array([ca * ce, sa * ce, se])
+def unit_direction(azimuth, elevation) -> np.ndarray:
+    """Unit vector for an azimuth/elevation pair, shape (3,); (3, ...) for arrays."""
+    ce = np.cos(elevation)
+    return np.array([np.cos(azimuth) * ce, np.sin(azimuth) * ce, np.sin(elevation)])
 
 
 def near_field_bounds(cfg: SystemConfig) -> tuple[float, float]:
@@ -175,17 +174,20 @@ def near_field_bounds(cfg: SystemConfig) -> tuple[float, float]:
     return r_min, r_max
 
 
-def sample_pose(rng: np.random.Generator, cfg: SystemConfig) -> Pose:
-    """Draw a uniform random pose inside the near-field window.
+def poses_from_uniforms(u: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Pose arrays, (r, theta, phi, psi, gamma) on the last axis, from uniforms ``u``.
 
-    Angles are drawn uniformly from the module-level ranges, the distance
-    uniformly from ``near_field_bounds(cfg)``.  The draw order is fixed
-    (theta, phi, psi, gamma, r) so a seeded generator yields a reproducible
-    sequence.
+    ``u`` is in the draw order (theta, phi, psi, gamma, r) on its last axis.
+    Each value maps to ``lo + (hi - lo) * u`` over its angle range (then in
+    radians) or ``near_field_bounds(cfg)``: ``Generator.uniform``'s own
+    arithmetic, so ``rng.random(5)`` maps to exactly ``sample_pose(rng, cfg)``.
     """
-    theta = math.radians(rng.uniform(*THETA_RANGE_DEG))
-    phi = math.radians(rng.uniform(*PHI_RANGE_DEG))
-    psi = math.radians(rng.uniform(*PSI_RANGE_DEG))
-    gamma = math.radians(rng.uniform(*GAMMA_RANGE_DEG))
-    r = rng.uniform(*near_field_bounds(cfg))
-    return Pose(r=r, theta=theta, phi=phi, psi=psi, gamma=gamma)
+    lo, hi = np.array([THETA_RANGE_DEG, PHI_RANGE_DEG, PSI_RANGE_DEG, GAMMA_RANGE_DEG,
+                       near_field_bounds(cfg)]).T
+    x = lo + (hi - lo) * u
+    return np.concatenate([x[..., 4:], np.radians(x[..., :4])], axis=-1)
+
+
+def sample_pose(rng: np.random.Generator, cfg: SystemConfig) -> Pose:
+    """A uniform random pose in the box: ``poses_from_uniforms`` of ``rng.random(5)``."""
+    return Pose(*poses_from_uniforms(rng.random(5), cfg).tolist())

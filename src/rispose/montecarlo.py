@@ -4,9 +4,10 @@ NMSE of a parameter x is the mean of ((x_hat - x) / x)^2 over non-failed
 trials, with angles compared in radians.  Failed trials are counted and
 reported per grid point, never silently dropped.
 
-A sweep runs each grid point's trials in stacks: every trial keeps its own
-seeded pose and noise draw, and the rest of ``run_trial``'s steps run once
-per stack.
+Trials run in stacks, with poses as (T, 5) arrays: every trial keeps its own
+seeded pose and noise draw, and the rest of the steps run once per stack.
+``run_trial`` is a stack of one.  A sweep draws each trial's pose uniforms
+once and maps them onto every grid point's near-field window.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ChannelMode, ris_ue_channel, sound_and_recover
-from .estimator import EstimationError, PoseEstimate, estimate_pose_from_channel
-from .geometry import Pose, SystemConfig, sample_pose
+from .estimator import PoseEstimate, estimate_pose_from_channel
+from .geometry import Pose, SystemConfig, poses_from_uniforms
 
 PARAMS = ("r", "theta", "phi", "psi", "gamma")
 
@@ -101,52 +102,40 @@ class NmseTable:
         }
 
 
-def _squared_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """``((est - true) / true)^2`` per parameter; rows of (T, 5) or one (5,) row."""
-    return ((estimates - truth) / truth) ** 2
-
-
 def run_trial(cfg: SystemConfig, pose: Pose, snr_db: float, mode: ChannelMode,
               rng: np.random.Generator) -> TrialResult:
     """Sound the channel of one pose, recover it and estimate the pose.
 
-    ``snr_db = inf`` means noiseless.  The recovered channel comes from
-    ``sound_and_recover``: the same value and noise draw as
-    ``recover_channel(observe(...))``, without forming the observation.
-    Estimation failures are recorded in the result, not raised.  A sweep
-    runs the same steps on a stack of trials (``run_sweep``).
+    ``snr_db = inf`` means noiseless.  The trial is ``_run_trials`` on a
+    stack of one.  Estimation failures are recorded in the result, not
+    raised; the estimate is kept when all five parameters were estimated.
 
     Raises:
         ValueError: if ``snr_db`` is NaN or -inf.
     """
-    a = sound_and_recover(ris_ue_channel(pose, cfg, mode), cfg, snr_db, rng)
-    try:
-        est = estimate_pose_from_channel(a, cfg)
-    except EstimationError as err:
-        return TrialResult(estimate=None, squared_relative_error=None,
-                           stage=err.stage)
-    errors = _squared_errors(np.array(est.as_tuple()), np.array(pose.as_tuple()))
-    if not np.isfinite(errors).all():
-        return TrialResult(estimate=est, squared_relative_error=None,
-                           stage="nonfinite")
-    return TrialResult(estimate=est,
-                       squared_relative_error=dict(zip(PARAMS, errors.tolist())))
+    estimates, errors, stage, diagnostics = _run_trials(
+        cfg, np.array([pose.as_tuple()]), snr_db, mode, [rng])
+    est = (None if np.isnan(estimates).any()
+           else PoseEstimate.from_stack(estimates, diagnostics))
+    sq_err = None if stage[0] else dict(zip(PARAMS, errors[0].tolist()))
+    return TrialResult(estimate=est, squared_relative_error=sq_err, stage=stage[0])
 
 
-def _run_trials(cfg: SystemConfig, poses: list[Pose], snr_db: float, mode: ChannelMode,
-                rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """``run_trial`` on a stack of T trials, each with its own generator.
+def _run_trials(cfg: SystemConfig, poses: np.ndarray, snr_db: float, mode: ChannelMode,
+                rngs: list[np.random.Generator]) -> tuple:
+    """T trials of (T, 5) pose arrays, each with its own generator, as one stack.
 
     Returns:
-        (T, 5) squared relative errors in ``PARAMS`` order, and each trial's
-        failure stage (None if it succeeded), as ``estimate_pose_from_channel``
-        gives it or ``nonfinite`` for a nonfinite error.
+        ``(estimates, errors, stage, diagnostics)``: ``estimate_pose_from_channel``
+        on the ``sound_and_recover`` channels, plus the (T, 5) squared relative
+        errors in ``PARAMS`` order.  A nonfinite error fails its trial at
+        stage ``nonfinite``.
     """
     a = sound_and_recover(ris_ue_channel(poses, cfg, mode), cfg, snr_db, rngs)
-    estimates, stage = estimate_pose_from_channel(a, cfg)
-    errors = _squared_errors(estimates, np.array([p.as_tuple() for p in poses]))
+    estimates, stage, diagnostics = estimate_pose_from_channel(a, cfg)
+    errors = ((estimates - poses) / poses) ** 2
     stage[np.equal(stage, None) & ~np.isfinite(errors).all(axis=1)] = "nonfinite"
-    return errors, stage
+    return estimates, errors, stage, diagnostics
 
 
 def _chunk_size(cfg: SystemConfig) -> int:
@@ -244,8 +233,12 @@ def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
         "master_seed": master_seed,
         "snr_db": snr_db,
     })
+    # sample_pose's draws, once per sweep; mapped per grid point (its r window)
+    uniforms = np.array([np.random.default_rng(pose_seed(master_seed, t)).random(5)
+                         for t in range(trials)])
     for axis, value, cfg, snr_override in points:
         point_snr = snr_override if snr_override is not None else snr_db
+        poses = poses_from_uniforms(uniforms, cfg)
         sums = np.zeros(len(PARAMS))
         failures = 0
         size = _chunk_size(cfg)
@@ -253,9 +246,8 @@ def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
             chunk = range(start, min(start + size, trials))
             rngs = [np.random.default_rng(trial_seed(master_seed, axis, value, t))
                     for t in chunk]
-            poses = [sample_pose(np.random.default_rng(pose_seed(master_seed, t)), cfg)
-                     for t in chunk]
-            errors, stage = _run_trials(cfg, poses, point_snr, mode, rngs)
+            _, errors, stage, _ = _run_trials(cfg, poses[start:start + size], point_snr,
+                                              mode, rngs)
             ok = np.equal(stage, None)
             failures += len(chunk) - int(np.count_nonzero(ok))
             sums += errors[ok].sum(axis=0)

@@ -51,7 +51,7 @@ def validation_pose() -> Pose:
 
 def check_distance_identity(cfg: SystemConfig, pose: Pose) -> CheckResult:
     """Adjacent columns of the distance transform differ by the model ratio."""
-    b = distance_transform(ris_ue_channel(pose, cfg, ChannelMode.FRESNEL))
+    b = distance_transform(ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL))
     pred = np.array([distance_shift(k, pose.r, cfg) for k in range(-cfg.k_half, cfg.k_half)])
     worst = float(np.abs(b[:, 1:] - b[:, :-1] * pred).max())
     return _result("distance shift identity", worst, TOL_IDENTITY)
@@ -59,7 +59,8 @@ def check_distance_identity(cfg: SystemConfig, pose: Pose) -> CheckResult:
 
 def check_direction_identity(cfg: SystemConfig, pose: Pose) -> CheckResult:
     """Row pairs of the direction transform carry the x/y direction ratios."""
-    c = _grid(direction_transform(ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)), cfg)
+    a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL)
+    c = _grid(direction_transform(a), cfg)
     ex, ey = direction_shifts(pose, cfg)
     worst = max(float(np.abs(c[1:] - c[:-1] * ex).max()),
                 float(np.abs(c[:, 1:] - c[:, :-1] * ey).max()))
@@ -68,7 +69,8 @@ def check_direction_identity(cfg: SystemConfig, pose: Pose) -> CheckResult:
 
 def check_orientation_identity(cfg: SystemConfig, pose: Pose) -> CheckResult:
     """Row pairs of the orientation transform carry the per-antenna ratios."""
-    d = _grid(orientation_transform(ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)), cfg)
+    a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL)
+    d = _grid(orientation_transform(a), cfg)
     gx, gy = np.array([orientation_shifts(pose, k, cfg)
                        for k in cfg.antenna_offsets()]).T
     worst = max(float(np.abs(d[1:] - d[:-1] * gx).max()),
@@ -78,7 +80,7 @@ def check_orientation_identity(cfg: SystemConfig, pose: Pose) -> CheckResult:
 
 def check_flip_symmetries(cfg: SystemConfig, pose: Pose) -> CheckResult:
     """Noiseless transforms are symmetric under their defining flips."""
-    a = ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL)
     b = distance_transform(a)
     c = direction_transform(a)
     d = orientation_transform(a)
@@ -152,7 +154,7 @@ def check_noiseless_recovery(cfg: SystemConfig, pose: Pose) -> CheckResult:
     rng = np.random.default_rng(0)
     worst = 0.0
     for mode in ChannelMode:
-        a = ris_ue_channel(pose, cfg, mode)
+        a = ris_ue_channel(pose.as_tuple(), cfg, mode)
         y = observe(a, cfg, math.inf, rng)
         worst = max(worst, float(np.abs(y - hbar @ a @ s).max()),
                     float(np.abs(recover_channel(y, cfg) - a).max()))
@@ -170,11 +172,11 @@ def check_trial_path_recovery(cfg: SystemConfig, pose: Pose, snr_db: float = 10.
     """
     worst = 0.0
     same_stream = True
-    a = ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL)
     for p in sorted({cfg.p_profiles, cfg.n_ris, 2 * cfg.n_ris - 1}):
         c = replace(cfg, p_profiles=p)
         trial_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sound_and_recover(a, c, snr_db, trial_rng)
+        got = sound_and_recover(a[None], c, snr_db, [trial_rng])[0]
         want = dense_recovery(observe(a, c, snr_db, ref_rng), c)
         worst = max(worst, float(np.abs(got - want).max()))
         same_stream &= bool(trial_rng.standard_normal() == ref_rng.standard_normal())
@@ -195,7 +197,7 @@ def check_tls_exactness() -> CheckResult:
 
 def check_zero_noise_estimate(cfg: SystemConfig, pose: Pose) -> CheckResult:
     """Full noiseless Fresnel pipeline recovers the pose."""
-    a = ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL)
     est = estimate_pose_from_channel(a, cfg)
     true = pose.as_tuple()
     got = est.as_tuple()

@@ -61,7 +61,7 @@ def test_criterion_1_zero_noise_exactness():
     worst_r = worst_angle = 0.0
     for _ in range(100):
         pose = sample_pose(rng, cfg)
-        a = ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
+        a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL)
         y = observe(a, cfg, math.inf, rng)
         est = estimate_pose(y, cfg)
         worst_r = max(worst_r, abs(est.r_hat - pose.r) / pose.r)
@@ -173,7 +173,7 @@ def test_criterion_5_model_mismatch_bound():
 
     def r_err(r):
         pose = Pose(r=r, **angles)
-        a = ris_ue_channel(pose, cfg, ChannelMode.EXACT)
+        a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.EXACT)
         y = observe(a, cfg, math.inf, np.random.default_rng(0))
         est = estimate_pose(y, cfg)
         rel = [abs(g - t) / abs(t)

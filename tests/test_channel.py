@@ -49,7 +49,7 @@ def pose():
 
 def test_ris_ue_channel_shape_and_unit_modulus(cfg, pose):
     for mode in ChannelMode:
-        a = ris_ue_channel(pose, cfg, mode)
+        a = ris_ue_channel(pose.as_tuple(), cfg, mode)
         assert a.shape == (cfg.n_ris, cfg.k_ue)
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
 
@@ -59,12 +59,12 @@ def test_ris_ue_channel_center_entry_is_one(cfg, pose):
     row = center_row(cfg)
     col = cfg.k_half
     for mode in ChannelMode:
-        a = ris_ue_channel(pose, cfg, mode)
+        a = ris_ue_channel(pose.as_tuple(), cfg, mode)
         assert a[row, col] == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
 
 def test_exact_channel_matches_euclidean_distances(small, pose):
-    a = ris_ue_channel(pose, small, ChannelMode.EXACT)
+    a = ris_ue_channel(pose.as_tuple(), small, ChannelMode.EXACT)
     n_idx, m_idx = element_indices(small)
     for row in (0, 4, 7, 14):
         s = np.array([n_idx[row] * small.d_x, m_idx[row] * small.d_y, 0.0])
@@ -78,7 +78,7 @@ def test_exact_channel_matches_euclidean_distances(small, pose):
 
 def test_fresnel_channel_matches_scalar_expansion(small, pose):
     # independent scalar evaluation of the second-order distance expansion
-    a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), small, ChannelMode.FRESNEL)
     e = unit_direction(pose.theta, pose.phi)
     g = unit_direction(pose.psi, pose.gamma)
     n_idx, m_idx = element_indices(small)
@@ -91,12 +91,43 @@ def test_fresnel_channel_matches_scalar_expansion(small, pose):
             assert a[row, k + small.k_half] == pytest.approx(expected, abs=1e-12)
 
 
+def test_ris_ue_channel_at_box_edges(small):
+    # an estimate can sit on a box edge (the arccos clips give phi or gamma
+    # of exactly pi/2 or 0), where Pose rejects it; the model takes any pose
+    # row, and (T, 5) rows give a (T, N, K) stack with one channel per row
+    rows = np.array([[2.0, 0.0, 0.6, 1.2, 0.0],          # theta = 0, gamma = 0
+                     [1.7, 1.1, math.pi / 2, 2.0, 0.4],  # phi = pi/2
+                     [2.5, 0.0, math.pi / 2, 0.3, 0.0]])  # all three
+    n_idx, m_idx = element_indices(small)
+    for mode in ChannelMode:
+        stack = ris_ue_channel(rows, small, mode)
+        assert stack.shape == (len(rows), small.n_ris, small.k_ue)
+        for pose_row, a in zip(rows, stack):
+            np.testing.assert_allclose(ris_ue_channel(pose_row, small, mode), a,
+                                       rtol=0, atol=1e-14)
+            r, theta, phi, psi, gamma = pose_row
+            e = np.array([math.cos(theta) * math.cos(phi),
+                          math.sin(theta) * math.cos(phi), math.sin(phi)])
+            g = np.array([math.cos(psi) * math.cos(gamma),
+                          math.sin(psi) * math.cos(gamma), math.sin(gamma)])
+            for row in (0, 7, 14):
+                s = np.array([n_idx[row] * small.d_x, m_idx[row] * small.d_y, 0.0])
+                for k in (-2, 0, 1):
+                    u = k * small.d_u
+                    if mode is ChannelMode.EXACT:
+                        excess = np.linalg.norm(r * e + u * g - s) - r
+                    else:
+                        excess = (u * u + s @ s) / (2 * r) + u * (e @ g - (g @ s) / r) - e @ s
+                    expected = np.exp(-2j * np.pi * excess / small.wavelength)
+                    assert a[row, k + small.k_half] == pytest.approx(expected, abs=1e-12)
+
+
 def test_fresnel_error_shrinks_with_range(cfg):
     def gap(r):
         p = Pose(r=r, theta=math.radians(65), phi=math.radians(35),
                  psi=math.radians(125), gamma=math.radians(50))
-        return np.abs(ris_ue_channel(p, cfg, ChannelMode.EXACT)
-                      - ris_ue_channel(p, cfg, ChannelMode.FRESNEL)).mean()
+        return np.abs(ris_ue_channel(p.as_tuple(), cfg, ChannelMode.EXACT)
+                      - ris_ue_channel(p.as_tuple(), cfg, ChannelMode.FRESNEL)).mean()
 
     # dropped terms scale like 1/r, so the average entry gap must fall
     # monotonically across the near field (max saturates at 2 up close)
@@ -149,7 +180,7 @@ def test_observe_matches_dense_measurement_blocks(small, pose):
     # the dense oracle is the column-wise Kronecker (Khatri-Rao) product of
     # profiles and channel: block p is h diag(profiles[p]); observe matches
     # the oracle product also when P is not a multiple of N
-    a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), small, ChannelMode.FRESNEL)
     for p_count in (small.n_ris, small.n_ris + 2, 2 * small.n_ris - 1):
         c = replace(small, p_profiles=p_count)
         h_b, h_r = ris_bs_channel(c)
@@ -169,7 +200,7 @@ def test_observe_noise_level_matches_snr(small, pose):
     # the noise is standard_normal(y.shape), real part then imaginary part.
     # When P is not a multiple of N, the DFT rows are not all used equally
     # often, and the mean power must weight each row by its profile count
-    a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), small, ChannelMode.FRESNEL)
     for p_count in (small.n_ris, small.n_ris + 2, 2 * small.n_ris - 1):
         c = replace(small, p_profiles=p_count)
         clean = observe(a, c, math.inf, np.random.default_rng(0))
@@ -184,14 +215,14 @@ def test_observe_noise_level_matches_snr(small, pose):
 
 
 def test_observe_rejects_undefined_snr(small, pose):
-    a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), small, ChannelMode.FRESNEL)
     for snr_db in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="snr_db"):
             observe(a, small, snr_db, np.random.default_rng(0))
 
 
 def test_observe_noiseless_leaves_rng_untouched(small, pose):
-    a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), small, ChannelMode.FRESNEL)
     rng = np.random.default_rng(99)
     y = observe(a, small, math.inf, rng)
     np.testing.assert_allclose(y, dense_measurement_matrix(small) @ a
@@ -201,7 +232,7 @@ def test_observe_noiseless_leaves_rng_untouched(small, pose):
 
 
 def test_observe_noise_statistics(small, pose):
-    a = ris_ue_channel(pose, small, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), small, ChannelMode.FRESNEL)
     clean = observe(a, small, math.inf, np.random.default_rng(0))
     snr_db = 6.0
     sigma = math.sqrt(np.mean(np.abs(clean) ** 2) / 10.0 ** (snr_db / 10.0))
@@ -218,7 +249,7 @@ def test_observe_noise_statistics(small, pose):
 
 def test_channel_column_convention(cfg, pose):
     # column c corresponds to antenna offset c - (K-1)/2
-    a = ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL)
     e = unit_direction(pose.theta, pose.phi)
     g = unit_direction(pose.psi, pose.gamma)
     row = center_row(cfg)  # s = 0

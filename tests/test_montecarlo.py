@@ -11,9 +11,8 @@ import rispose
 import rispose.estimator as est_mod
 import rispose.montecarlo as mc_mod
 from rispose.channel import ChannelMode, ris_ue_channel, sound_and_recover
-from rispose.estimator import (EstimationError, PoseEstimate,
-                               estimate_pose_from_channel)
-from rispose.geometry import Pose, SystemConfig, sample_pose
+from rispose.estimator import EstimationError, estimate_pose_from_channel
+from rispose.geometry import Pose, SystemConfig, poses_from_uniforms, sample_pose
 from rispose.montecarlo import (AXIS_CODES, PARAMS, NmseTable, grid_points,
                                 pose_seed, run_sweep, run_trial, trial_seed)
 
@@ -66,14 +65,21 @@ def test_run_trial_survives_heavy_noise(cfg, pose):
 
 
 def test_run_trial_flags_nonfinite_estimates(cfg, pose, monkeypatch):
-    fake = PoseEstimate(r_hat=2.5, theta_hat=math.nan, phi_hat=0.6,
-                        psi_hat=1.9, gamma_hat=0.8)
-    monkeypatch.setattr(mc_mod, "estimate_pose_from_channel", lambda *a, **k: fake)
+    # every stage passes, but one estimate is infinite: the trial fails at
+    # "nonfinite" and keeps its estimate
+    def infinite_theta(a, cfg):
+        estimates, stage, diagnostics = estimate_pose_from_channel(a, cfg)
+        estimates[:, 1] = math.inf
+        return estimates, stage, diagnostics
+
+    monkeypatch.setattr(mc_mod, "estimate_pose_from_channel", infinite_theta)
     result = run_trial(cfg, pose, math.inf, ChannelMode.FRESNEL,
                        np.random.default_rng(0))
     assert result.failed
     assert result.stage == "nonfinite"
-    assert result.estimate is fake
+    assert result.squared_relative_error is None
+    assert result.estimate.theta_hat == math.inf
+    assert result.estimate.r_hat == pytest.approx(pose.r, rel=1e-9)
 
 
 def test_run_trial_rejects_undefined_snr(cfg, pose):
@@ -247,16 +253,31 @@ def trial_loop_rows(cfg_base, grid, trials, master_seed, snr_db, mode):
 
 
 @pytest.mark.parametrize("mode", list(ChannelMode))
-def test_run_sweep_matches_trial_loop(mode):
-    # a sweep runs its trials as stacks; each trial must come out as it does
-    # on its own, up to the rounding of numpy's SIMD complex multiply
+def test_run_sweep_matches_trial_loop(mode, monkeypatch):
+    # a sweep runs its trials as stacks of T, and run_trial is a stack of
+    # one: T must not change any trial's result, up to the rounding of
+    # numpy's SIMD complex multiply
     trials = 41
     sweeps = (
         # at N = 225, 0 and -10 dB fail some trials (about 1% and 5% in
         # Fresnel mode); -6160 dB overflows every trial's noise
         (SystemConfig(n_x=15, n_y=15), {"snr_db": [0.0, -10.0]}, 15.0),
         (SystemConfig(n_x=7, n_y=7), {"snr_db": [-6160.0], "K": [11, 15]}, 0.0),
+        # the near-field window differs per grid point; the pose uniforms do not
+        (SystemConfig(), {"N": [25, 49]}, 10.0),
     )
+    # trials 5 and 40 fail in whatever stack they land in: their channel is
+    # NaN.  They are found by theta, which the shared pose uniforms fix at
+    # every grid point.
+    bad_theta = [poses_from_uniforms(np.random.default_rng(pose_seed(4, t)).random(5),
+                                     SystemConfig())[1] for t in (5, 40)]
+
+    def nan_channels(poses, cfg, mode):
+        a = ris_ue_channel(poses, cfg, mode)
+        a[np.isin(poses[..., 1], bad_theta)] = np.nan
+        return a
+
+    monkeypatch.setattr(mc_mod, "ris_ue_channel", nan_channels)
     failures = 0
     for cfg, grid, snr_db in sweeps:
         for _, _, point_cfg, _ in grid_points(cfg, grid):
@@ -272,29 +293,35 @@ def test_run_sweep_matches_trial_loop(mode):
                 assert row.failures == trials and math.isnan(row.nmse)
             else:
                 assert row.nmse == pytest.approx(nmse, rel=1e-9)
+                assert row.failures >= 2
                 failures += row.failures
     assert failures > 0  # a stack with some failed trials was exercised
 
 
 def test_stack_with_failed_trials(cfg):
-    # a NaN channel, one that fails the distance stage and one that fails the
+    # a NaN channel, one that fails the distance stage and two that fail the
     # direction stage, inside a stack: each fails at its own stage, and every
     # trial matches its one-channel call; no RuntimeWarning (the suite turns
     # those into errors)
-    poses = [sample_pose(np.random.default_rng([3, t]), cfg) for t in range(6)]
+    poses = np.array([sample_pose(np.random.default_rng([3, t]), cfg).as_tuple()
+                      for t in range(7)])
     a = sound_and_recover(ris_ue_channel(poses, cfg, ChannelMode.FRESNEL), cfg, 20.0,
-                          [np.random.default_rng([4, t]) for t in range(6)])
+                          [np.random.default_rng([4, t]) for t in range(7)])
     a[1, 3, 2] = np.nan
     a[4] = 1.0
-    # a phase on the columns only (0 or pi/2, so the products are exact): the
-    # column pairs give a distance, but every row pair of the direction
-    # transform is equal, so both direction phases vanish
+    # a phase on the columns only: the column pairs give a distance, but every
+    # row pair of the direction transform is equal, so both direction phases
+    # vanish.  With phases 0 or pi/2 the products are exact; with a distance
+    # phase they are zero up to rounding (about 1e-34 here)
     a[2] = np.where(cfg.antenna_offsets() % 2 == 0, 1, 1j)
-    estimates, stage = estimate_pose_from_channel(a, cfg)
-    assert list(stage) == [None, "nonfinite", "direction", None, "distance", None]
+    k = cfg.antenna_offsets()
+    a[6] = np.exp(-1j * np.pi * k ** 2 * cfg.d_u ** 2 / (cfg.wavelength * 2.0))
+    estimates, stage, _ = estimate_pose_from_channel(a, cfg)
+    assert list(stage) == [None, "nonfinite", "direction", None, "distance", None,
+                           "direction"]
     assert np.isnan(estimates[[1, 4]]).all()
-    assert estimates[2, 0] > 0 and np.isnan(estimates[2, 1:]).all()
-    for t in range(6):
+    assert (estimates[[2, 6], 0] > 0).all() and np.isnan(estimates[[2, 6], 1:]).all()
+    for t in range(7):
         if stage[t] is None:
             one = estimate_pose_from_channel(a[t], cfg).as_tuple()
             np.testing.assert_allclose(estimates[t], one, rtol=1e-12)
@@ -307,13 +334,13 @@ def test_stack_with_failed_trials(cfg):
         assert exc.value.partial == {k: x for k, x in row.items() if not math.isnan(x)}
     # the NaN channel draws no noise and leaves its generator untouched;
     # the others get their own generator's noise
-    rngs = [np.random.default_rng([5, t]) for t in range(6)]
+    rngs = [np.random.default_rng([5, t]) for t in range(7)]
     noisy = sound_and_recover(a, cfg, 10.0, rngs)
     assert np.isnan(noisy[1, 3, 2])
     assert rngs[1].standard_normal() == np.random.default_rng([5, 1]).standard_normal()
-    for t in (0, 2, 3, 4, 5):
-        one = sound_and_recover(a[t], cfg, 10.0, np.random.default_rng([5, t]))
-        np.testing.assert_allclose(noisy[t], one, rtol=1e-12, atol=1e-12)
+    for t in (0, 2, 3, 4, 5, 6):
+        one = sound_and_recover(a[t:t + 1], cfg, 10.0, [np.random.default_rng([5, t])])
+        np.testing.assert_allclose(noisy[t], one[0], rtol=1e-12, atol=1e-12)
 
 
 def test_run_sweep_n_axis_resizes_ris(cfg):

@@ -56,7 +56,7 @@ def test_recover_channel_rejects_bad_shape(cfg):
 def test_noiseless_recovery_both_modes(cfg, pose):
     rng = np.random.default_rng(0)
     for mode in ChannelMode:
-        a = ris_ue_channel(pose, cfg, mode)
+        a = ris_ue_channel(pose.as_tuple(), cfg, mode)
         for p in (cfg.n_ris, cfg.n_ris + 1):
             c = replace(cfg, p_profiles=p)
             rec = recover_channel(observe(a, c, math.inf, rng), c)
@@ -65,7 +65,7 @@ def test_noiseless_recovery_both_modes(cfg, pose):
 
 
 def test_recovery_linearity_in_noise(cfg, pose):
-    a = ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL)
     rng = np.random.default_rng(21)
     w = complex_normal(rng, (cfg.m_bs * cfg.p_profiles, cfg.l_pilot))
     y = observe(a, cfg, math.inf, rng) + w
@@ -93,16 +93,16 @@ def test_recovery_invariant_to_far_field_angles(cfg, pose):
     recs = []
     for theta_bs, theta_ris, phi_ris in ((0.5, 0.7, 0.9), (1.1, 0.2, 1.3)):
         c = replace(cfg, theta_bs=theta_bs, theta_ris=theta_ris, phi_ris=phi_ris)
-        a = ris_ue_channel(pose, c, ChannelMode.FRESNEL)
+        a = ris_ue_channel(pose.as_tuple(), c, ChannelMode.FRESNEL)
         y = observe(a, c, math.inf, np.random.default_rng(0))
         recs.append(recover_channel(y, c))
     np.testing.assert_allclose(recs[0], recs[1], atol=1e-9)
 
 
 def test_sound_and_recover_noiseless_returns_channel(cfg, pose):
-    a = ris_ue_channel(pose, cfg, ChannelMode.FRESNEL)
+    a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL)[None]
     rng = np.random.default_rng(99)
-    assert sound_and_recover(a, cfg, math.inf, rng) is a
+    assert sound_and_recover(a, cfg, math.inf, [rng]) is a
     # the stream was not consumed
     assert rng.standard_normal() == np.random.default_rng(99).standard_normal()
 
