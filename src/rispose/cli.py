@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelMode
 from .config import ConfigError, RunConfig, load_config
-from .geometry import Pose, near_field_bounds, sample_pose
+from .geometry import Pose, distance_wrap_bound, near_field_bounds, sample_pose
 from .montecarlo import pose_seed, run_sweep, run_trial, trial_seed
 from .validate import run_validation
 
@@ -74,8 +74,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         return 2
     r_min, r_max = near_field_bounds(cfg)
     if not r_min <= pose.r <= r_max:
+        wrap = distance_wrap_bound(cfg)
+        below = (f", and at or below the distance wrap rule's bound 2 d_u^2 / "
+                 f"wavelength = {wrap:.4g} m, where the distance phase wraps"
+                 if pose.r <= wrap else "")
         print(f"warning: r = {pose.r:.4g} m outside the near-field window "
-              f"[{r_min:.4g}, {r_max:.4g}] m; estimates may be biased",
+              f"[{r_min:.4g}, {r_max:.4g}] m{below}; estimates may be biased",
               file=sys.stderr)
     rng = np.random.default_rng(trial_seed(rc.master_seed, "snr_db", rc.snr_db, 0))
     result = run_trial(cfg, pose, rc.snr_db, rc.mode, rng)

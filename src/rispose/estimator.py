@@ -18,18 +18,17 @@ for all columns at once, and converted back to a parameter through its
 phase.  All of it is exact for the Fresnel channel model and approximate
 for true Euclidean distances.
 
-Every stage works on a (T, n_ris, k_ue) stack of T trials and runs the
-same arithmetic on all of them at once; a single (n_ris, k_ue) channel is
-a stack of one.  A stage marks a failed trial with NaN, and the one
-orchestration (``_estimate_stack``) gives it a stage name.  Only
-``estimate_pose_from_channel`` on a single channel raises, from that
-trial's stack row.
+Every stage takes a (T, n_ris, k_ue) stack of T trials only and runs the
+same arithmetic on all of them at once.  A stage marks a failed trial with
+NaN, and ``estimate_pose_from_channel`` gives it a stage name.  Only
+``estimate_pose``, the one single-channel entry point, raises, from its
+stack of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,7 @@ _TLS_TOL = 1e-12
 # c = 64.  The pose box's smallest phases are many orders of magnitude above it.
 _ZERO_PHASE = 64 * np.finfo(float).eps * math.pi
 
-# the message of the EstimationError raised for one channel failing a stage
+# the message of the EstimationError that ``estimate_pose`` raises per stage
 _FAILURES = {
     "nonfinite": "recovered channel is not finite",
     "distance": "every column-pair phase was zero or unidentifiable, or the "
@@ -51,40 +50,29 @@ _FAILURES = {
                  "direction phases vanish",
     "orientation": "orientation phases unidentifiable for every antenna",
 }
-_FIELDS = ("r_hat", "theta_hat", "phi_hat", "psi_hat", "gamma_hat")
-_COUNTS = ("direction_skipped_cols", "orientation_skipped")
 
 
 class EstimationError(Exception):
-    """Estimation failed at a named stage; partial results may be attached."""
+    """Estimation failed at a named stage."""
 
-    def __init__(self, stage: str, message: str, partial: dict | None = None):
+    def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
-        self.partial = partial if partial is not None else {}
 
 
 @dataclass(frozen=True)
 class PoseEstimate:
-    """Estimated pose with per-stage diagnostics."""
+    """Estimated pose of one channel."""
 
     r_hat: float
     theta_hat: float
     phi_hat: float
     psi_hat: float
     gamma_hat: float
-    diagnostics: dict = field(repr=False, default_factory=dict)
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.r_hat, self.theta_hat, self.phi_hat,
                 self.psi_hat, self.gamma_hat)
-
-    @classmethod
-    def from_stack(cls, estimates: np.ndarray, diagnostics: dict) -> PoseEstimate:
-        """The estimate of a stack of one, from its (1, 5) row and (1, ...) diagnostics."""
-        diag = {k: x[0] if x.ndim > 1 else float(x[0]) for k, x in diagnostics.items()}
-        diag.update((k, int(diag[k])) for k in _COUNTS)
-        return cls(*estimates[0].tolist(), diagnostics=diag)
 
 
 def distance_transform(a: np.ndarray) -> np.ndarray:
@@ -108,17 +96,16 @@ def _grid(x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     Rows are x-major with y varying fastest (``ris_ue_channel``), so the
     x-neighbour rows are ``g[:-1]``/``g[1:]``, the y-neighbour rows
     ``g[:, :-1]``/``g[:, 1:]``, and ``g[::-1, ::-1]`` mirrors the array
-    through its center.  A leading trial axis is kept.
+    through its center.  Leading axes are kept.
     """
     return x.reshape(*x.shape[:-2], cfg.n_x, cfg.n_y, -1)
 
 
 def _trials(x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """One (n_ris, k_ue) matrix as a one-trial stack; a (T, n_ris, k_ue) stack as is."""
-    if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_ris, cfg.k_ue):
-        raise ValueError(f"expected shape {(cfg.n_ris, cfg.k_ue)} or a stack "
-                         f"of them, got {x.shape}")
-    return x[None] if x.ndim == 2 else x
+    """``x`` if it is a (T, n_ris, k_ue) stack; ValueError otherwise."""
+    if x.ndim != 3 or x.shape[1:] != (cfg.n_ris, cfg.k_ue):
+        raise ValueError(f"expected a (T, {cfg.n_ris}, {cfg.k_ue}) stack, got {x.shape}")
+    return x
 
 
 def _masked_mean(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -256,14 +243,13 @@ def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
 
     Per column, a TLS fit over x-axis (y-axis) row pairs estimates the two
     element-shift ratios; the complex ratios are averaged over the columns
-    where both fits identify a ratio (the rest count as skipped), then
+    where both fits identify a ratio (the rest are skipped), then
     the azimuth comes from the two-argument arctangent of the scaled phases
-    and the elevation from an arccosine (argument clipped into [0, 1], with
-    the raw value kept as a diagnostic).
+    and the elevation from an arccosine (argument clipped into [0, 1]).
 
     Returns:
-        (theta_hat, phi_hat, delta_ex, delta_ey, diagnostics): (T,) arrays,
-        NaN where a trial fails, and diagnostics of (T,) arrays.
+        (theta_hat, phi_hat, delta_ex, delta_ey): (T,) arrays, NaN where a
+        trial fails.
     """
     stack = _trials(c, cfg)
     ratios_x, ratios_y = _shift_ratios(stack, cfg)
@@ -271,7 +257,6 @@ def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
     # a column enters both means or neither
     delta_ex = _masked_mean(ratios_x, fit)
     delta_ey = _masked_mean(ratios_y, fit)
-    skipped = cfg.k_ue - np.count_nonzero(fit, axis=-1)
     phase_x, phase_y = np.angle(delta_ex), np.angle(delta_ey)
     ax, ay = phase_x / cfg.d_x, phase_y / cfg.d_y
     # elevation 90 degrees leaves the azimuth undefined
@@ -281,8 +266,7 @@ def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
     phi_hat = np.arccos(np.clip(cos_arg, 0.0, 1.0))
     for x in (theta_hat, phi_hat, delta_ex, delta_ey):
         x[vanish] = np.nan
-    diag = {"phi_cos_arg": cos_arg, "direction_skipped_cols": skipped}
-    return theta_hat, phi_hat, delta_ex, delta_ey, diag
+    return theta_hat, phi_hat, delta_ex, delta_ey
 
 
 def estimate_orientation(
@@ -298,15 +282,13 @@ def estimate_orientation(
     fitted).  Each k yields an azimuth (sign-corrected so negative k does
     not flip the quadrant) and an elevation.  The azimuths are averaged on
     the circle, the elevations arithmetically.  The direction ratios and
-    distances are (T,) arrays, or scalars for a stack of one.
+    distances are (T,) arrays.
 
     Returns:
-        (psi_hat, gamma_hat, diagnostics): (T,) arrays, NaN where a trial
-        fails (also where its distance is not finite and positive), with
-        diagnostics of (T,) and (T, k_ue) arrays.
+        (psi_hat, gamma_hat): (T,) arrays, NaN where a trial fails (also
+        where its distance is not finite and positive).
     """
     stack = _trials(d, cfg)
-    r_hat = np.asarray(r_hat, dtype=float).reshape(-1)
     bad_r = ~(np.isfinite(r_hat) & (r_hat > 0))
     # the center antenna carries no orientation phase
     k = cfg.antenna_offsets()
@@ -315,9 +297,8 @@ def estimate_orientation(
     sgn = np.sign(kc)
     gx, gy = (ratio[:, off_center] for ratio in _shift_ratios(stack, cfg))
     used = np.isfinite(gx) & np.isfinite(gy)
-    skipped = kc.size - np.count_nonzero(used, axis=-1)
-    deltas = np.stack([np.asarray(delta_ex).reshape(-1), np.asarray(delta_ey).reshape(-1)])
-    phases = np.angle(np.stack([gx, gy]) / deltas[:, :, None])  # (2, T, K - 1)
+    phases = np.angle(np.stack([gx, gy])
+                      / np.stack([delta_ex, delta_ey])[:, :, None])  # (2, T, K - 1)
     inner = used & (np.abs(kc) == 1)
     slope = _masked_mean(phases * sgn, inner)
     has_slope = inner.any(axis=-1)
@@ -338,74 +319,41 @@ def estimate_orientation(
                % (2 * math.pi) - math.pi / 2)
     gamma_hat = _masked_mean(gamma, used)
     failed = bad_r | ~has_azimuth.any(axis=-1)
-    psi_per_k = np.full(stack.shape[::2], np.nan)
-    psi_per_k[:, off_center] = np.where(has_azimuth, psi, np.nan)
-    gamma_per_k = np.full(stack.shape[::2], np.nan)
-    gamma_per_k[:, off_center] = np.where(used, gamma, np.nan)
     psi_hat[failed] = np.nan
     gamma_hat[failed] = np.nan
-    diag = {"gamma_cos_arg_max": np.where(used, cos_args, -np.inf).max(axis=-1),
-            "orientation_skipped": skipped,
-            "psi_per_k": psi_per_k, "gamma_per_k": gamma_per_k}
-    return psi_hat, gamma_hat, diag
+    return psi_hat, gamma_hat
 
 
-def estimate_pose_from_channel(
-    a: np.ndarray, cfg: SystemConfig
-) -> PoseEstimate | tuple[np.ndarray, np.ndarray, dict]:
-    """Run the three-stage estimator on an already recovered channel matrix.
+def estimate_pose_from_channel(a: np.ndarray,
+                               cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Run the three-stage estimator on a stack of recovered channels.
+
+    Each stage runs on the trials that passed the earlier ones only, so a
+    failed trial's NaN never reaches the arithmetic of another stage, and
+    one trial's failure never affects the others.
 
     Args:
-        a: recovered (n_ris, k_ue) channel, or a (T, n_ris, k_ue) stack.
+        a: (T, n_ris, k_ue) stack of recovered channels.
         cfg: system parameters.
 
     Returns:
-        For a stack, ``(estimates, stage, diagnostics)`` as
-        ``_estimate_stack`` gives them; one trial's failure never affects
-        the others.  For one channel, the stack of one as a PoseEstimate
-        with all five parameters and the stage diagnostics.
+        ``(estimates, stage)``: a (T, 5) array of (r, theta, phi, psi,
+        gamma) rows holding the values of the stages each trial passed, NaN
+        after them; and a (T,) object array holding each failed trial's
+        stage name, else None.  Stage ``nonfinite`` means the trial's
+        channel holds an inf or NaN, as after noise that overflowed.
 
     Raises:
-        EstimationError: for one channel, if any stage fails; ``partial``
-            carries the values of the stages it passed.  Stage ``nonfinite``
-            means ``a`` holds an inf or NaN, as after noise that overflowed.
+        ValueError: if ``a`` is not such a stack.
     """
-    estimates, stage, diagnostics = _estimate_stack(_trials(a, cfg), cfg)
-    if a.ndim == 3:
-        return estimates, stage, diagnostics
-    if stage[0] is not None:
-        raise EstimationError(stage[0], _FAILURES[stage[0]],
-                              {k: x for k, x in zip(_FIELDS, estimates[0].tolist())
-                               if not math.isnan(x)})
-    return PoseEstimate.from_stack(estimates, diagnostics)
-
-
-def _estimate_stack(a: np.ndarray,
-                    cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The three stages on a (T, n_ris, k_ue) stack.
-
-    Each stage runs on the trials that passed the earlier ones only, so a
-    failed trial's NaN never reaches the arithmetic of another stage.
-
-    Returns:
-        ``(estimates, stage, diagnostics)``: a (T, 5) array of (r, theta,
-        phi, psi, gamma) rows holding the values of the stages each trial
-        passed, NaN after them; a (T,) object array holding each failed
-        trial's stage name, else None; and the stages' diagnostics as (T,)
-        and (T, k_ue) arrays, NaN where a trial did not reach that stage
-        (a stage that no trial reached adds no keys).
-    """
+    a = _trials(a, cfg)
     estimates = np.full((len(a), 5), np.nan)
     stage = np.full(len(a), None, dtype=object)
-    diagnostics: dict = {}
     finite = np.isfinite(a).all(axis=(1, 2))
     stage[~finite] = "nonfinite"
     idx = np.flatnonzero(finite)
 
-    def survivors(name, value, diag):
-        for key, x in diag.items():
-            diagnostics[key] = np.full((len(a), *x.shape[1:]), np.nan)
-            diagnostics[key][idx] = x
+    def survivors(name, value):
         failed = np.isnan(value)
         stage[idx[failed]] = name
         return ~failed
@@ -415,27 +363,27 @@ def _estimate_stack(a: np.ndarray,
 
     if idx.size:
         r = estimate_distance(distance_transform(alive()), cfg)
-        keep = survivors("distance", r, {})
+        keep = survivors("distance", r)
         idx, r = idx[keep], r[keep]
         estimates[idx, 0] = r
     if idx.size:
-        theta, phi, dex, dey, diag = estimate_direction(direction_transform(alive()), cfg)
-        keep = survivors("direction", theta, diag)
+        theta, phi, dex, dey = estimate_direction(direction_transform(alive()), cfg)
+        keep = survivors("direction", theta)
         idx, r, theta, phi, dex, dey = (x[keep] for x in (idx, r, theta, phi, dex, dey))
         estimates[idx, 1:3] = np.stack([theta, phi], axis=1)
     if idx.size:
-        psi, gamma, diag = estimate_orientation(orientation_transform(alive()),
-                                                dex, dey, r, cfg)
-        keep = survivors("orientation", psi, diag)
+        psi, gamma = estimate_orientation(orientation_transform(alive()), dex, dey, r, cfg)
+        keep = survivors("orientation", psi)
         estimates[idx[keep], 3:] = np.stack([psi, gamma], axis=1)[keep]
-    return estimates, stage, diagnostics
+    return estimates, stage
 
 
 def estimate_pose(y: np.ndarray, cfg: SystemConfig) -> PoseEstimate:
     """Recover the channel from an observation and estimate the full pose.
 
-    Chains closed-form channel recovery (``recover_channel``) with
-    distance, direction, and orientation estimation.
+    The single-channel entry point: closed-form channel recovery
+    (``recover_channel``), then ``estimate_pose_from_channel`` on a stack
+    of one.
 
     Args:
         y: stacked observation, shape (m_bs * p_profiles, l_pilot).
@@ -445,4 +393,7 @@ def estimate_pose(y: np.ndarray, cfg: SystemConfig) -> PoseEstimate:
         EstimationError: if any estimation stage fails.
         ValueError: on an observation of the wrong shape.
     """
-    return estimate_pose_from_channel(recover_channel(y, cfg), cfg)
+    estimates, stage = estimate_pose_from_channel(recover_channel(y, cfg)[None], cfg)
+    if stage[0] is not None:
+        raise EstimationError(stage[0], _FAILURES[stage[0]])
+    return PoseEstimate(*estimates[0].tolist())

@@ -27,6 +27,13 @@ PHI_RANGE_DEG = (10.0, 80.0)
 PSI_RANGE_DEG = (15.0, 170.0)
 GAMMA_RANGE_DEG = (15.0, 80.0)
 
+# Largest |cos(theta) cos(phi)| and |sin(theta) cos(phi)| over the pose box:
+# |cos(theta)| peaks at a theta edge, sin(theta) at 90 degrees (inside the
+# range) and cos(phi) at the lower phi edge.
+_COS_PHI_MAX = math.cos(math.radians(PHI_RANGE_DEG[0]))
+_DIRECTION_EXTENT = (max(abs(math.cos(math.radians(t))) for t in THETA_RANGE_DEG)
+                     * _COS_PHI_MAX, _COS_PHI_MAX)
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -108,6 +115,25 @@ class SystemConfig:
         if not math.isfinite(2.0 * ue_aperture * ue_aperture / self.wavelength):
             raise ValueError(f"d_u = {self.d_u!r}: the far-field distance of this "
                              f"UE array and wavelength overflows a float")
+        # the estimator reads phases that are ambiguous once they pass pi, so
+        # no pose of the box or the near-field window may let one wrap
+        for name, cosine, extent in zip(("d_x", "d_y"), ("cos", "sin"),
+                                        _DIRECTION_EXTENT):
+            if not getattr(self, name) * extent < self.wavelength / 4:
+                raise ValueError(
+                    f"{name} = {getattr(self, name)!r} breaks the direction wrap rule "
+                    f"{name} max|{cosine}(theta) cos(phi)| < wavelength / 4 over the "
+                    f"pose box: {name} must be below "
+                    f"{self.wavelength / (4 * extent):.4g} m")
+        r_min = window[0]
+        for rule, bound in (
+                ("distance wrap rule r_min > 2 d_u^2 / wavelength",
+                 distance_wrap_bound(self)),
+                ("orientation wrap rule r_min > 4 d_u max(d_x, d_y) / wavelength",
+                 4.0 * self.d_u * max(self.d_x, self.d_y) / self.wavelength)):
+            if not r_min > bound:
+                raise ValueError(f"the near-field window starts at r_min = {r_min:.4g} m, "
+                                 f"which breaks the {rule} = {bound:.4g} m")
 
     @property
     def n_ris(self) -> int:
@@ -172,6 +198,11 @@ def near_field_bounds(cfg: SystemConfig) -> tuple[float, float]:
     r_min = 0.62 * math.sqrt(diag_sq ** 1.5 / cfg.wavelength)
     r_max = 2.0 * diag_sq / cfg.wavelength
     return r_min, r_max
+
+
+def distance_wrap_bound(cfg: SystemConfig) -> float:
+    """Range 2 d_u^2 / wavelength below which the centre column-pair phase wraps."""
+    return 2.0 * cfg.d_u * cfg.d_u / cfg.wavelength
 
 
 def poses_from_uniforms(u: np.ndarray, cfg: SystemConfig) -> np.ndarray:

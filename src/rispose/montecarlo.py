@@ -113,10 +113,9 @@ def run_trial(cfg: SystemConfig, pose: Pose, snr_db: float, mode: ChannelMode,
     Raises:
         ValueError: if ``snr_db`` is NaN or -inf.
     """
-    estimates, errors, stage, diagnostics = _run_trials(
-        cfg, np.array([pose.as_tuple()]), snr_db, mode, [rng])
-    est = (None if np.isnan(estimates).any()
-           else PoseEstimate.from_stack(estimates, diagnostics))
+    estimates, errors, stage = _run_trials(cfg, np.array([pose.as_tuple()]), snr_db,
+                                           mode, [rng])
+    est = None if np.isnan(estimates).any() else PoseEstimate(*estimates[0].tolist())
     sq_err = None if stage[0] else dict(zip(PARAMS, errors[0].tolist()))
     return TrialResult(estimate=est, squared_relative_error=sq_err, stage=stage[0])
 
@@ -126,16 +125,16 @@ def _run_trials(cfg: SystemConfig, poses: np.ndarray, snr_db: float, mode: Chann
     """T trials of (T, 5) pose arrays, each with its own generator, as one stack.
 
     Returns:
-        ``(estimates, errors, stage, diagnostics)``: ``estimate_pose_from_channel``
-        on the ``sound_and_recover`` channels, plus the (T, 5) squared relative
-        errors in ``PARAMS`` order.  A nonfinite error fails its trial at
+        ``(estimates, errors, stage)``: ``estimate_pose_from_channel`` on the
+        ``sound_and_recover`` channels, and the (T, 5) squared relative errors
+        in ``PARAMS`` order.  A nonfinite error fails its trial at
         stage ``nonfinite``.
     """
     a = sound_and_recover(ris_ue_channel(poses, cfg, mode), cfg, snr_db, rngs)
-    estimates, stage, diagnostics = estimate_pose_from_channel(a, cfg)
+    estimates, stage = estimate_pose_from_channel(a, cfg)
     errors = ((estimates - poses) / poses) ** 2
     stage[np.equal(stage, None) & ~np.isfinite(errors).all(axis=1)] = "nonfinite"
-    return estimates, errors, stage, diagnostics
+    return estimates, errors, stage
 
 
 def _chunk_size(cfg: SystemConfig) -> int:
@@ -246,8 +245,8 @@ def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
             chunk = range(start, min(start + size, trials))
             rngs = [np.random.default_rng(trial_seed(master_seed, axis, value, t))
                     for t in chunk]
-            _, errors, stage, _ = _run_trials(cfg, poses[start:start + size], point_snr,
-                                              mode, rngs)
+            _, errors, stage = _run_trials(cfg, poses[start:start + size], point_snr,
+                                           mode, rngs)
             ok = np.equal(stage, None)
             failures += len(chunk) - int(np.count_nonzero(ok))
             sums += errors[ok].sum(axis=0)

@@ -133,7 +133,8 @@ def test_invalid_settings_rejected():
             parse_config(text)
     assert parse_config("snr_db = inf\n").snr_db == math.inf
     # lengths, power and angles must be finite, and so must the power in
-    # watts, the near-field window and the UE array's far-field distance
+    # watts, the near-field window and the UE array's far-field distance;
+    # the spacings must keep every phase the estimator reads wrap-free
     for text, key in (("power_dbm = 4000\n", "power_dbm"),
                       ("power_dbm = inf\n", "power_w"), ("d_x = inf\n", "d_x"),
                       ("wavelength = nan\n", "wavelength"),
@@ -141,14 +142,16 @@ def test_invalid_settings_rejected():
                       ("phi_ris_deg = nan\n", "phi_ris"),
                       ("d_x = 1e200\n", "near-field"),
                       ("wavelength = 1e-320\n", "near-field"),
-                      ("d_u = 1e154\n", "d_u"), ("d_u = 1e300\n", "d_u")):
+                      ("d_u = 1e154\n", "d_u"), ("d_u = 1e300\n", "d_u"),
+                      ("d_u = 1e152\n", "distance wrap rule"),
+                      ("d_x = 0.165\n", "direction wrap rule"),
+                      ("n_x = 3\nn_y = 3\n", "distance wrap rule")):
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
-    # the UE far-field distance is finite just below the overflow
-    assert parse_config("d_u = 1e152\n").system.d_u == 1e152
     # every sweep value must give a valid grid-point config
     for text, match in (("sweep_n = 50\n", "odd square"), ("sweep_k = 4\n", "k_ue"),
                         ("sweep_p = 10\n", "p_profiles"),
+                        ("sweep_n = 25, 9\n", "distance wrap rule"),
                         ("sweep_snr_db = 10\nsweep_k = 4\n", "k_ue")):
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
@@ -217,6 +220,11 @@ def test_cli_estimate_out_of_window_warns(compact_cfg_file, capsys):
     assert code == 0
     assert "warning" in captured.err
     assert "near-field" in captured.err
+    assert "wrap" not in captured.err
+    # below 2 d_u^2 / wavelength = 0.165 m the warning names the wrap rule too
+    main(["estimate", "--config", compact_cfg_file, "--pose", "0.15,70,35,110,45"])
+    captured = capsys.readouterr()
+    assert "near-field" in captured.err and "distance wrap rule" in captured.err
 
 
 def test_cli_estimate_failure_exit_code(compact_cfg_file, capsys, monkeypatch):
@@ -333,7 +341,9 @@ def test_cli_sweep_undefined_snr_exit_2(tmp_path, capsys):
     # trial, also behind a valid axis
     for axes, match in (("sweep_n = 50\n", "odd square"), ("sweep_k = 4\n", "k_ue"),
                         ("sweep_p = 10\n", "p_profiles"),
-                        ("sweep_snr_db = 10\nsweep_k = 4\n", "k_ue")):
+                        ("sweep_snr_db = 10\nsweep_k = 4\n", "k_ue"),
+                        ("sweep_n = 9\n", "distance wrap rule"),
+                        ("sweep_snr_db = 10\nd_x = 0.165\n", "direction wrap rule")):
         bad_axis = tmp_path / "bad_axis.cfg"
         bad_axis.write_text(COMPACT + axes + out)
         assert main(["sweep", "--config", str(bad_axis)]) == 2

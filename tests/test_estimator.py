@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rispose.estimator as est_mod
-from rispose.channel import ChannelMode, observe, ris_ue_channel
+from rispose.channel import ChannelMode, observe, ris_ue_channel, sound_and_recover
 from rispose.estimator import (EstimationError,
                                direction_shifts, direction_transform,
                                distance_shift, distance_transform,
@@ -16,8 +18,7 @@ from rispose.estimator import (EstimationError,
                                estimate_pose_from_channel, orientation_shifts,
                                orientation_transform, tls_phase_ratio)
 from rispose.geometry import (Pose, SystemConfig, near_field_bounds,
-                              sample_pose, unit_direction)
-from rispose.montecarlo import run_trial
+                              poses_from_uniforms, sample_pose, unit_direction)
 
 
 @pytest.fixture
@@ -33,6 +34,40 @@ def pose():
 
 def fresnel(pose, cfg):
     return ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL)
+
+
+def fresnel_stack(poses, cfg):
+    """Fresnel channels of a list of poses (or one pose) as a (T, n_ris, k_ue) stack."""
+    poses = [poses] if isinstance(poses, Pose) else poses
+    return ris_ue_channel(np.array([p.as_tuple() for p in poses]), cfg,
+                          ChannelMode.FRESNEL)
+
+
+def spoil_columns(x, cfg, cols):
+    """Leave columns ``cols`` of stack ``x`` with an unidentifiable y-fit.
+
+    Each column is negligible except for its last y-row, so its y-fit cannot
+    identify a ratio while its x-fit returns a finite, wrong one.
+    """
+    x[..., cols] *= 1e-15
+    est_mod._grid(x, cfg)[:, :, -1, cols] = 1.0
+
+
+def orientation_phases(d, delta_ex, delta_ey, cfg):
+    """Per-antenna x/y orientation phases of a stack ``d``, (2, T, k_ue), not unwrapped.
+
+    The first step of ``estimate_orientation`` written out: each antenna's
+    TLS shift ratios over the (T,) direction ratios.
+    """
+    gx, gy = est_mod._shift_ratios(d, cfg)
+    return np.angle(np.stack([gx / delta_ex[:, None], gy / delta_ey[:, None]]))
+
+
+def antenna_azimuths(phases, cfg):
+    """Per-antenna orientation azimuths of ``orientation_phases``; NaN at the centre."""
+    k = cfg.antenna_offsets()
+    sgn = np.where(k == 0, np.nan, np.sign(k))
+    return np.arctan2(sgn * phases[1] / cfg.d_y, sgn * phases[0] / cfg.d_x)
 
 
 def element_indices(cfg):
@@ -223,7 +258,7 @@ def test_distance_shift_frozen_phase():
 
 
 def test_estimate_distance_noiseless(cfg, pose):
-    r_hat = estimate_distance(distance_transform(fresnel(pose, cfg)), cfg)
+    r_hat = estimate_distance(distance_transform(fresnel_stack(pose, cfg)), cfg)
     assert r_hat == pytest.approx(3.0, rel=1e-6)
 
 
@@ -232,30 +267,41 @@ def test_estimate_distance_wrapped_phases():
     cfg = SystemConfig()
     pose = Pose(r=1.40, theta=math.radians(100), phi=math.radians(20),
                 psi=math.radians(30), gamma=math.radians(70))
-    r_hat = estimate_distance(distance_transform(fresnel(pose, cfg)), cfg)
+    r_hat = estimate_distance(distance_transform(fresnel_stack(pose, cfg)), cfg)
     assert r_hat == pytest.approx(1.40, rel=1e-9)
 
 
 def test_estimate_distance_infinite_distance_failure(cfg):
-    # zero phase on every column pair: the stage gives NaN, and the one
-    # channel fails at stage distance with no partial results
-    a = np.ones((cfg.n_ris, cfg.k_ue), dtype=complex)
+    # zero phase on every column pair: the stage gives NaN, and the trial
+    # fails at stage distance with no stage's values in its row
+    a = np.ones((1, cfg.n_ris, cfg.k_ue), dtype=complex)
     r_hat = estimate_distance(distance_transform(a), cfg)
     assert r_hat.shape == (1,) and np.isnan(r_hat).all()
-    with pytest.raises(EstimationError) as exc:
-        estimate_pose_from_channel(a, cfg)
-    assert exc.value.stage == "distance"
-    assert exc.value.partial == {}
+    estimates, stage = estimate_pose_from_channel(a, cfg)
+    assert list(stage) == ["distance"]
+    assert np.isnan(estimates).all()
 
 
 def test_estimate_distance_shape_check(cfg):
     with pytest.raises(ValueError):
-        estimate_distance(np.ones((5, 5), dtype=complex), cfg)
+        estimate_distance(np.ones((1, 5, 5), dtype=complex), cfg)
+
+
+def test_stages_take_stacks_only(cfg):
+    # a single (n_ris, k_ue) channel is not a stack: every stage rejects it
+    one = np.ones((cfg.n_ris, cfg.k_ue), dtype=complex)
+    delta = np.ones(1, dtype=complex)
+    for call in (lambda: estimate_distance(one, cfg),
+                 lambda: estimate_direction(one, cfg),
+                 lambda: estimate_orientation(one, delta, delta, np.ones(1), cfg),
+                 lambda: estimate_pose_from_channel(one, cfg)):
+        with pytest.raises(ValueError, match="stack"):
+            call()
 
 
 def test_estimate_direction_noiseless(cfg, pose):
-    theta, phi, ex, ey, _ = estimate_direction(
-        direction_transform(fresnel(pose, cfg)), cfg)
+    theta, phi, ex, ey = estimate_direction(
+        direction_transform(fresnel_stack(pose, cfg)), cfg)
     assert theta == pytest.approx(pose.theta, abs=1e-6)
     assert phi == pytest.approx(pose.phi, abs=1e-6)
     true_ex, true_ey = direction_shifts(pose, cfg)
@@ -264,16 +310,16 @@ def test_estimate_direction_noiseless(cfg, pose):
 
 
 def test_estimate_direction_skips_column_in_both_means(cfg, pose):
-    # one column is negligible except for its last y-row: its y-fit cannot
-    # identify a ratio while its x-fit returns a finite, wrong one, so the
-    # column must drop out of both averages
-    c = direction_transform(fresnel(pose, cfg))
-    c[:, 2] *= 1e-15
-    est_mod._grid(c, cfg)[:, -1, 2] = 1.0
-    _, _, ex, _, diag = estimate_direction(c, cfg)
+    # column 2's y-fit cannot identify a ratio while its x-fit returns a
+    # finite, wrong one, so the column must drop out of both averages
+    c = direction_transform(fresnel_stack(pose, cfg))
+    spoil_columns(c, cfg, 2)
+    ratios_x, ratios_y = est_mod._shift_ratios(c, cfg)
     true_ex, _ = direction_shifts(pose, cfg)
+    assert np.isnan(ratios_y[0, 2])
+    assert abs(ratios_x[0, 2] - true_ex) > 0.1
+    _, _, ex, _ = estimate_direction(c, cfg)
     assert ex == pytest.approx(true_ex, abs=1e-12)
-    assert diag["direction_skipped_cols"] == 1
 
 
 def test_estimate_direction_broadside_azimuth_exact(cfg):
@@ -281,7 +327,7 @@ def test_estimate_direction_broadside_azimuth_exact(cfg):
     # the quadrant exactly
     pose = Pose(r=3.0, theta=math.pi / 2, phi=math.radians(40),
                 psi=math.radians(120), gamma=math.radians(30))
-    theta, phi, *_ = estimate_direction(direction_transform(fresnel(pose, cfg)),
+    theta, phi, *_ = estimate_direction(direction_transform(fresnel_stack(pose, cfg)),
                                         cfg)
     assert theta == pytest.approx(math.pi / 2, abs=1e-12)
     assert phi == pytest.approx(pose.phi, abs=1e-9)
@@ -291,62 +337,66 @@ def test_estimate_direction_invariant_to_orientation(cfg):
     base = dict(r=2.4, theta=math.radians(100), phi=math.radians(55))
     p1 = Pose(**base, psi=math.radians(20), gamma=math.radians(75))
     p2 = Pose(**base, psi=math.radians(160), gamma=math.radians(25))
-    out1 = estimate_direction(direction_transform(fresnel(p1, cfg)), cfg)
-    out2 = estimate_direction(direction_transform(fresnel(p2, cfg)), cfg)
-    assert out1[0] == pytest.approx(out2[0], abs=1e-12)
-    assert out1[1] == pytest.approx(out2[1], abs=1e-12)
+    theta, phi, *_ = estimate_direction(direction_transform(fresnel_stack([p1, p2], cfg)),
+                                        cfg)
+    assert theta[0] == pytest.approx(theta[1], abs=1e-12)
+    assert phi[0] == pytest.approx(phi[1], abs=1e-12)
+
+
+def true_ratios(pose, cfg):
+    """The model direction ratios and distance of one pose, as (1,) arrays."""
+    ex, ey = direction_shifts(pose, cfg)
+    return np.array([ex]), np.array([ey]), np.array([pose.r])
 
 
 def test_estimate_orientation_noiseless(cfg, pose):
-    d = orientation_transform(fresnel(pose, cfg))
-    ex, ey = direction_shifts(pose, cfg)
-    psi, gamma, diag = estimate_orientation(d, ex, ey, pose.r, cfg)
+    d = orientation_transform(fresnel_stack(pose, cfg))
+    psi, gamma = estimate_orientation(d, *true_ratios(pose, cfg), cfg)
     assert psi == pytest.approx(pose.psi, abs=1e-6)
     assert gamma == pytest.approx(pose.gamma, abs=1e-6)
-    assert diag["gamma_cos_arg_max"] <= 1.0 + 1e-12
-    assert diag["orientation_skipped"] == 0
-    # an antenna whose y-fit cannot identify a ratio is skipped and counted
-    d[:, 0] *= 1e-15
-    est_mod._grid(d, cfg)[:, -1, 0] = 1.0
-    psi, gamma, diag = estimate_orientation(d, ex, ey, pose.r, cfg)
+    # an antenna whose y-fit cannot identify a ratio is skipped: its finite,
+    # wrong x-ratio reaches neither mean
+    spoil_columns(d, cfg, 0)
+    gx, gy = est_mod._shift_ratios(d, cfg)
+    assert np.isnan(gy[0, 0]) and np.isfinite(gx[0, 0])
+    psi, gamma = estimate_orientation(d, *true_ratios(pose, cfg), cfg)
     assert psi == pytest.approx(pose.psi, abs=1e-6)
     assert gamma == pytest.approx(pose.gamma, abs=1e-6)
-    assert diag["orientation_skipped"] == 1
-    assert math.isnan(diag["gamma_per_k"][0, 0])
 
 
 def test_estimate_orientation_sign_symmetry(cfg, pose):
-    # positive and negative antenna offsets agree after sign correction
-    d = orientation_transform(fresnel(pose, cfg))
-    ex, ey = direction_shifts(pose, cfg)
-    _, _, diag = estimate_orientation(d, ex, ey, pose.r, cfg)
-    psi_k, = diag["psi_per_k"]
-    gamma_k, = diag["gamma_per_k"]
-    for k in range(1, cfg.k_half + 1):
-        assert psi_k[cfg.k_half + k] == pytest.approx(psi_k[cfg.k_half - k],
-                                                      abs=1e-9)
-        assert gamma_k[cfg.k_half + k] == pytest.approx(gamma_k[cfg.k_half - k],
-                                                        abs=1e-9)
-    assert math.isnan(psi_k[cfg.k_half])  # center antenna carries no signal
+    # the negative and the positive antenna offsets each give the exact
+    # orientation alone: the sign correction keeps the quadrant
+    d = orientation_transform(fresnel_stack(pose, cfg))
+    k = cfg.antenna_offsets()
+    for spoiled in (k > 0, k < 0):
+        half = d.copy()
+        spoil_columns(half, cfg, np.flatnonzero(spoiled))
+        psi, gamma = estimate_orientation(half, *true_ratios(pose, cfg), cfg)
+        assert psi == pytest.approx(pose.psi, abs=1e-9)
+        assert gamma == pytest.approx(pose.gamma, abs=1e-9)
+    # the center antenna carries no orientation signal: alone it fails
+    spoil_columns(d, cfg, np.flatnonzero(k != 0))
+    psi, gamma = estimate_orientation(d, *true_ratios(pose, cfg), cfg)
+    assert np.isnan(psi).all() and np.isnan(gamma).all()
 
 
 def test_estimate_orientation_flat_limit(cfg, pose):
-    # no antenna-dependent phase at all: every antenna's elevation is the
-    # 90 degree limit, and the orientation phases are zero up to rounding, so
+    # no antenna-dependent phase at all (every antenna's elevation is the
+    # 90 degree limit): the orientation phases are zero up to rounding, so
     # the azimuth is undefined and the trial fails as it does on exact zeros
-    ex, ey = direction_shifts(pose, cfg)
+    ex, ey, r = true_ratios(pose, cfg)
     n_idx, m_idx = element_indices(cfg)
-    d_flat = ((ex ** n_idx) * (ey ** m_idx))[:, None] \
-        * np.ones(cfg.k_ue)[None, :]
-    psi, gamma, diag = estimate_orientation(d_flat.astype(complex), ex, ey,
-                                            pose.r, cfg)
-    gamma_k = np.delete(diag["gamma_per_k"][0], cfg.k_half)
-    np.testing.assert_allclose(gamma_k, math.pi / 2, rtol=0, atol=1e-9)
+    d_flat = ((ex ** n_idx) * (ey ** m_idx))[None, :, None] \
+        * np.ones(cfg.k_ue)[None, None, :]
+    phases = orientation_phases(d_flat, ex, ey, cfg)
+    assert np.abs(phases).max() <= est_mod._ZERO_PHASE
+    psi, gamma = estimate_orientation(d_flat, ex, ey, r, cfg)
     assert np.isnan(psi).all() and np.isnan(gamma).all()
 
 
 def test_estimate_orientation_all_zero_phases_fail(cfg, pose, monkeypatch):
-    ex, ey = direction_shifts(pose, cfg)
+    ex, _ = direction_shifts(pose, cfg)
     stage = est_mod.estimate_orientation
 
     def collapsed(u, v):
@@ -355,53 +405,53 @@ def test_estimate_orientation_all_zero_phases_fail(cfg, pose, monkeypatch):
 
     def zero_phases(d, delta_ex, delta_ey, r_hat, cfg):
         monkeypatch.setattr(est_mod, "tls_phase_ratio", collapsed)
-        return stage(d, ex, ex, r_hat, cfg)
+        return stage(d, np.full(len(d), ex), np.full(len(d), ex), r_hat, cfg)
 
-    d = np.ones((cfg.n_ris, cfg.k_ue), dtype=complex)
-    psi, gamma, _ = zero_phases(d, None, None, pose.r, cfg)
+    d = np.ones((1, cfg.n_ris, cfg.k_ue), dtype=complex)
+    psi, gamma = zero_phases(d, None, None, np.array([pose.r]), cfg)
     assert np.isnan(psi).all() and np.isnan(gamma).all()
-    # the earlier stages see the true ratios; the orientation stage fails
+    # the earlier stages see the true ratios; the orientation stage fails,
+    # and the trial's row keeps the distance and direction
     monkeypatch.undo()
     monkeypatch.setattr(est_mod, "estimate_orientation", zero_phases)
-    with pytest.raises(EstimationError) as exc:
-        estimate_pose_from_channel(fresnel(pose, cfg), cfg)
-    assert exc.value.stage == "orientation"
-    assert exc.value.partial["r_hat"] == pytest.approx(pose.r, rel=1e-6)
+    estimates, stage_names = estimate_pose_from_channel(fresnel_stack(pose, cfg), cfg)
+    assert list(stage_names) == ["orientation"]
+    np.testing.assert_allclose(estimates[0, :3], pose.as_tuple()[:3], rtol=1e-6)
+    assert np.isnan(estimates[0, 3:]).all()
 
 
 def test_estimate_orientation_requires_positive_distance(cfg, pose, monkeypatch):
-    d = orientation_transform(fresnel(pose, cfg))
-    ex, ey = direction_shifts(pose, cfg)
+    d = orientation_transform(fresnel_stack(pose, cfg))
+    ex, ey, _ = true_ratios(pose, cfg)
     for r_hat in (-1.0, 0.0, math.inf):
-        psi, gamma, _ = estimate_orientation(d, ex, ey, r_hat, cfg)
+        psi, gamma = estimate_orientation(d, ex, ey, np.array([r_hat]), cfg)
         assert np.isnan(psi).all() and np.isnan(gamma).all()
     # a negative distance that gets past the distance stage fails orientation
     monkeypatch.setattr(est_mod, "estimate_distance",
                         lambda b, cfg: np.full(len(b), -1.0))
-    with pytest.raises(EstimationError) as exc:
-        estimate_pose_from_channel(fresnel(pose, cfg), cfg)
-    assert exc.value.stage == "orientation"
-    assert exc.value.partial["r_hat"] == -1.0
+    estimates, stage = estimate_pose_from_channel(fresnel_stack(pose, cfg), cfg)
+    assert list(stage) == ["orientation"]
+    assert estimates[0, 0] == -1.0
+    assert np.isfinite(estimates[0, 1:3]).all() and np.isnan(estimates[0, 3:]).all()
 
 
 def test_orientation_azimuth_near_pi_does_not_wrap(cfg):
     # at psi = 169 deg and 0 dB some per-antenna azimuths land past the +-pi
     # cut; an arithmetic mean of them is off by up to 2 pi / K
-    psi_true = math.radians(169.0)
-    wrapped = 0
-    errors = []
-    for t in range(40):
-        pose = replace(sample_pose(np.random.default_rng([11, t]), cfg), psi=psi_true)
-        result = run_trial(cfg, pose, 0.0, ChannelMode.FRESNEL,
-                           np.random.default_rng([12, t]))
-        if result.failed:
-            continue
-        wrapped += bool(np.nanmin(result.estimate.diagnostics["psi_per_k"]) < 0)
-        errors.append(result.squared_relative_error["psi"])
-    assert wrapped > 0  # the cut is exercised
+    poses = np.array([replace(sample_pose(np.random.default_rng([11, t]), cfg),
+                              psi=math.radians(169.0)).as_tuple() for t in range(40)])
+    a = sound_and_recover(ris_ue_channel(poses, cfg, ChannelMode.FRESNEL), cfg, 0.0,
+                          [np.random.default_rng([12, t]) for t in range(40)])
+    estimates, stage = estimate_pose_from_channel(a, cfg)
+    ok = np.equal(stage, None)
+    _, _, ex, ey = estimate_direction(direction_transform(a[ok]), cfg)
+    psi_k = antenna_azimuths(orientation_phases(orientation_transform(a[ok]), ex, ey,
+                                                cfg), cfg)
+    assert (np.nanmin(psi_k, axis=-1) < 0).any()  # the cut is exercised
+    errors = ((estimates[ok, 3] - poses[ok, 3]) / poses[ok, 3]) ** 2
     assert len(errors) >= 35
-    assert max(errors) < 1e-2
-    assert np.mean(errors) < 1e-3
+    assert errors.max() < 1e-2
+    assert errors.mean() < 1e-3
 
 
 def test_orientation_phases_unwrap_at_short_range():
@@ -410,31 +460,42 @@ def test_orientation_phases_unwrap_at_short_range():
     # whole pose box
     for k_ue in (11, 15):
         cfg = SystemConfig(n_x=7, n_y=7, k_ue=k_ue)
-        worst = 0.0
-        for t in range(400):
-            pose = sample_pose(np.random.default_rng([5, t]), cfg)
-            est = estimate_pose_from_channel(fresnel(pose, cfg), cfg)
-            worst = max(worst, max(abs(got - true) / true
-                                   for got, true in zip(est.as_tuple(), pose.as_tuple())))
-        assert worst < 1e-6, (k_ue, worst)
+        poses = [sample_pose(np.random.default_rng([5, t]), cfg) for t in range(400)]
+        true = np.array([p.as_tuple() for p in poses])
+        a = fresnel_stack(poses, cfg)
+        estimates, stage = estimate_pose_from_channel(a, cfg)
+        assert np.equal(stage, None).all()
+        err = np.abs(estimates - true) / true
+        assert err.max() < 1e-6, (k_ue, err.max())
+        # the measured per-antenna phases are wrapped where the model's
+        # exceed pi: 4 pi k d_u cos(gamma) (d_x cos(psi), d_y sin(psi)) / (wl r)
+        ex, ey = np.array([direction_shifts(p, cfg) for p in poses]).T
+        scale = (4 * np.pi * cfg.antenna_offsets() * cfg.d_u
+                 * np.cos(true[:, 4:]) / (cfg.wavelength * true[:, :1]))
+        model = np.stack([scale * cfg.d_x * np.cos(true[:, 3:4]),
+                          scale * cfg.d_y * np.sin(true[:, 3:4])])
+        measured = orientation_phases(orientation_transform(a), ex, ey, cfg)
+        wrapped = np.abs(measured - model) > np.pi
+        np.testing.assert_array_equal(wrapped, np.abs(model) > np.pi)
+        assert wrapped.any(), k_ue
 
 
 def test_orientation_near_vertical_is_continuous(cfg):
     pose = Pose(r=3.0, theta=math.radians(60), phi=math.radians(40),
                 psi=math.radians(120), gamma=math.pi / 2 - 1e-6)
-    est = estimate_pose_from_channel(fresnel(pose, cfg), cfg)
-    assert est.gamma_hat == pytest.approx(pose.gamma, abs=1e-6)
-    assert est.psi_hat == pytest.approx(pose.psi, abs=1e-6)
+    estimates, _ = estimate_pose_from_channel(fresnel_stack(pose, cfg), cfg)
+    assert estimates[0, 4] == pytest.approx(pose.gamma, abs=1e-6)
+    assert estimates[0, 3] == pytest.approx(pose.psi, abs=1e-6)
 
 
 # ------------------------------------------------------------------ end to end
 
 def test_estimate_pose_noiseless_random_poses(cfg):
     rng = np.random.default_rng(314)
-    for _ in range(20):
-        pose = sample_pose(rng, cfg)
-        est = estimate_pose_from_channel(fresnel(pose, cfg), cfg)
-        r, th, ph, ps, ga = est.as_tuple()
+    poses = [sample_pose(rng, cfg) for _ in range(20)]
+    estimates, stage = estimate_pose_from_channel(fresnel_stack(poses, cfg), cfg)
+    assert np.equal(stage, None).all()
+    for (r, th, ph, ps, ga), pose in zip(estimates, poses):
         assert r == pytest.approx(pose.r, rel=1e-6)
         assert th == pytest.approx(pose.theta, abs=1e-6)
         assert ph == pytest.approx(pose.phi, abs=1e-6)
@@ -454,36 +515,46 @@ def test_estimate_pose_full_pipeline(cfg, pose):
 
 
 def test_estimate_pose_partial_results_on_late_failure(cfg, pose, monkeypatch):
-    # a stage fails a trial with NaN; partial holds the stages it passed
+    # a stage fails a trial with NaN; its row keeps the values of the stages
+    # it passed and holds NaN after them, and estimate_pose raises that stage
+    a = fresnel_stack(pose, cfg)
+    y = observe(a[0], cfg, math.inf, np.random.default_rng(0))
+
     def failed_orientation(d, *args):
-        return np.full(len(d), np.nan), np.full(len(d), np.nan), {}
+        return np.full(len(d), np.nan), np.full(len(d), np.nan)
 
     monkeypatch.setattr(est_mod, "estimate_orientation", failed_orientation)
+    estimates, stage = estimate_pose_from_channel(a, cfg)
+    assert list(stage) == ["orientation"]
+    assert estimates[0, 0] == pytest.approx(pose.r, rel=1e-6)
+    assert estimates[0, 1] == pytest.approx(pose.theta, abs=1e-6)
+    assert estimates[0, 2] == pytest.approx(pose.phi, abs=1e-6)
+    assert np.isnan(estimates[0, 3:]).all()
     with pytest.raises(EstimationError) as exc:
-        estimate_pose_from_channel(fresnel(pose, cfg), cfg)
+        estimate_pose(y, cfg)
     assert exc.value.stage == "orientation"
-    assert set(exc.value.partial) == {"r_hat", "theta_hat", "phi_hat"}
-    assert exc.value.partial["r_hat"] == pytest.approx(pose.r, rel=1e-6)
-    assert exc.value.partial["theta_hat"] == pytest.approx(pose.theta, abs=1e-6)
-    assert exc.value.partial["phi_hat"] == pytest.approx(pose.phi, abs=1e-6)
 
     def failed_direction(c, cfg):
         nan = np.full(len(c), np.nan)
-        return nan, nan, nan + 0j, nan + 0j, {}
+        return nan, nan, nan + 0j, nan + 0j
 
     monkeypatch.setattr(est_mod, "estimate_direction", failed_direction)
+    estimates, stage = estimate_pose_from_channel(a, cfg)
+    assert list(stage) == ["direction"]
+    assert estimates[0, 0] == pytest.approx(pose.r, rel=1e-6)
+    assert np.isnan(estimates[0, 1:]).all()
     with pytest.raises(EstimationError) as exc:
-        estimate_pose_from_channel(fresnel(pose, cfg), cfg)
+        estimate_pose(y, cfg)
     assert exc.value.stage == "direction"
-    assert list(exc.value.partial) == ["r_hat"]
-    assert exc.value.partial["r_hat"] == pytest.approx(pose.r, rel=1e-6)
 
 
 def test_estimate_pose_error_names_stage_once(cfg):
     # an all-ones channel has zero phase on every column pair: the distance
     # stage's own error comes through, not a copy with the stage prefixed again
+    y = observe(np.ones((cfg.n_ris, cfg.k_ue), dtype=complex), cfg, math.inf,
+                np.random.default_rng(0))
     with pytest.raises(EstimationError) as exc:
-        estimate_pose_from_channel(np.ones((cfg.n_ris, cfg.k_ue), dtype=complex), cfg)
+        estimate_pose(y, cfg)
     assert exc.value.stage == "distance"
     assert str(exc.value).startswith("distance: every column-pair phase")
     assert str(exc.value).count("distance:") == 1
@@ -494,13 +565,11 @@ def test_estimate_pose_error_decreases_with_noise(cfg, pose):
     a = fresnel(pose, cfg)
     medians = []
     for scale in (1e-2, 1e-3, 1e-4):
-        errs = []
         rng = np.random.default_rng(55)
-        for _ in range(31):
-            noise = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
-            est = estimate_pose_from_channel(a + scale * noise, cfg)
-            errs.append(abs(est.r_hat - pose.r))
-        medians.append(np.median(errs))
+        noise = [rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+                 for _ in range(31)]
+        estimates, _ = estimate_pose_from_channel(a + scale * np.stack(noise), cfg)
+        medians.append(np.median(np.abs(estimates[:, 0] - pose.r)))
     assert medians[0] > medians[1] > medians[2]
 
 
@@ -511,6 +580,49 @@ def test_estimate_pose_model_mismatch_small_at_long_range(cfg):
     pose = Pose(r=r_max, theta=math.radians(40), phi=math.radians(45),
                 psi=math.radians(165.26), gamma=math.radians(30))
     a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.EXACT)
-    est = estimate_pose_from_channel(a, cfg)
-    for got, true in zip(est.as_tuple(), pose.as_tuple()):
+    estimates, _ = estimate_pose_from_channel(a[None], cfg)
+    for got, true in zip(estimates[0], pose.as_tuple()):
         assert abs(got - true) / abs(true) < 1e-2
+
+
+# --------------------------------------------------------- whole-box properties
+
+@st.composite
+def stacked_cases(draw):
+    """A config at default spacings, a stack of poses over the whole box (edges
+    included), the rows where NaN channels go, and a channel noise level."""
+    n_x, n_y = draw(st.lists(st.sampled_from([3, 5, 7, 9]), min_size=2, max_size=2,
+                             unique=True))
+    cfg = SystemConfig(n_x=n_x, n_y=n_y, k_ue=draw(st.sampled_from([3, 5, 7])))
+    unit = st.floats(0.0, 1.0)
+    u = draw(st.lists(st.lists(unit, min_size=5, max_size=5), min_size=1, max_size=6))
+    nan_rows = draw(st.lists(st.integers(0, len(u)), max_size=2))
+    level = draw(st.sampled_from([0.0, 0.3, 3.0]))
+    return cfg, poses_from_uniforms(np.array(u), cfg), nan_rows, level
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=stacked_cases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_estimator_properties_over_the_box(case, seed):
+    # noiseless Fresnel is exact at every drawn size and pose; NaN channels
+    # fail as nonfinite; no NaN reaches a trial not marked failed; and every
+    # row equals its stack of one
+    cfg, poses, nan_rows, level = case
+    a = ris_ue_channel(poses, cfg, ChannelMode.FRESNEL)
+    rng = np.random.default_rng(seed)
+    a = a + level * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
+    a = np.insert(a, nan_rows, np.nan, axis=0)
+    is_pose = np.insert(np.ones(len(poses), bool), nan_rows, False)
+    estimates, stage = estimate_pose_from_channel(a, cfg)
+    assert (stage[~is_pose] == "nonfinite").all()
+    ok = np.equal(stage, None)
+    assert np.isfinite(estimates[ok]).all()
+    if level == 0.0:
+        assert ok[is_pose].all()
+        err = np.abs(estimates[is_pose] - poses)
+        err[:, 0] /= poses[:, 0]
+        assert err.max() < 1e-6
+    for t in range(len(a)):
+        one, one_stage = estimate_pose_from_channel(a[t:t + 1], cfg)
+        assert one_stage[0] == stage[t]
+        np.testing.assert_allclose(estimates[t], one[0], rtol=1e-12)

@@ -57,6 +57,35 @@ def test_system_config_validation():
         SystemConfig(wavelength=0.0)
 
 
+def test_wrap_rules_at_their_edges():
+    # each wrap-free rule accepts a config just inside its edge and rejects
+    # one just outside, naming the rule
+    cfg = SystemConfig()
+    wl = cfg.wavelength
+    cos10 = math.cos(math.radians(10.0))
+    r_min = near_field_bounds(cfg)[0]
+    # the largest |cos(theta) cos(phi)| and |sin(theta) cos(phi)| of the box
+    edges = [("d_x", wl / (4 * cos10 * cos10), {}, "direction wrap rule"),
+             ("d_y", wl / (4 * cos10), {}, "direction wrap rule"),
+             ("d_u", math.sqrt(r_min * wl / 2), {}, "distance wrap rule")]
+    # a 3 x 3 RIS with d_x << d_y: 4 d_u d_y / wavelength = d_u reaches r_min
+    # before 2 d_u^2 / wavelength does
+    small = dict(n_x=3, n_y=3, d_x=0.01)
+    edges.append(("d_u", near_field_bounds(SystemConfig(**small, d_u=0.05))[0], small,
+                  "orientation wrap rule"))
+    for name, edge, base, rule in edges:
+        SystemConfig(**base, **{name: edge * (1 - 1e-9)})
+        with pytest.raises(ValueError, match=rule):
+            SystemConfig(**base, **{name: edge * (1 + 1e-9)})
+    # the defaults pass; a 3 x 3 RIS, half-wavelength spacing and d_u = wavelength
+    # at N = 49 do not
+    for fields, rule in (({"n_x": 3, "n_y": 3}, "distance"),
+                         ({"d_x": wl / 2}, "direction"), ({"d_y": wl / 2}, "direction"),
+                         ({"n_x": 7, "n_y": 7, "d_u": wl}, "distance")):
+        with pytest.raises(ValueError, match=f"{rule} wrap rule"):
+            SystemConfig(**fields)
+
+
 def test_system_config_profile_default_resolves_to_ris_size():
     cfg = SystemConfig(n_x=9, n_y=9)
     assert cfg.p_profiles == 81
