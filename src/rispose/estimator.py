@@ -14,9 +14,10 @@ conjugate-flipped copies of itself isolate one unknown each:
 
 Row shifts are slices of the (n_x, n_y, k_ue) grid view of a transform.
 Each ratio is estimated by a closed-form rank-one total-least-squares fit,
-for all columns at once, and converted back to a parameter through its
-phase.  All of it is exact for the Fresnel channel model and approximate
-for true Euclidean distances.
+for all columns at once.  Each stage's phases are linear in one unknown
+per axis, which one least-squares slope fit (``_slope``) estimates and
+converts back to a parameter.  All of it is exact for the Fresnel channel
+model and approximate for true Euclidean distances.
 
 Every stage takes a (T, n_ris, k_ue) stack of T trials only and runs the
 same arithmetic on all of them at once.  A stage marks a failed trial with
@@ -44,11 +45,12 @@ _ZERO_PHASE = 64 * np.finfo(float).eps * math.pi
 # the message of the EstimationError that ``estimate_pose`` raises per stage
 _FAILURES = {
     "nonfinite": "recovered channel is not finite",
-    "distance": "every column-pair phase was zero or unidentifiable, or the "
-                "distance was non-physical (infinite-distance indication)",
+    "distance": "every column-pair phase was zero, unidentifiable or of the "
+                "sign of a negative distance (infinite-distance indication)",
     "direction": "shift ratios unidentifiable in every column, or both "
                  "direction phases vanish",
-    "orientation": "orientation phases unidentifiable for every antenna",
+    "orientation": "orientation phases unidentifiable for every antenna or "
+                   "all zero, or the distance was not finite and positive",
 }
 
 
@@ -108,12 +110,16 @@ def _trials(x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     return x
 
 
-def _masked_mean(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mean of ``x`` over ``mask`` along the last axis; NaN where ``mask`` is empty."""
-    count = np.count_nonzero(mask, axis=-1)
-    total = np.where(mask, x, 0).sum(axis=-1)
-    return np.divide(total, count, out=np.full(total.shape, np.nan, total.dtype),
-                     where=count > 0)
+def _slope(y: np.ndarray, x, mask: np.ndarray) -> np.ndarray:
+    """Least-squares slope of ``y ~ x * slope`` over ``mask`` along the last axis.
+
+    ``sum(x y) / sum(x^2)`` over the masked entries (Kay, *Fundamentals of
+    Statistical Signal Processing I*, ch. 4); with ``x = 1`` it is the mean.
+    NaN, in the dtype of ``x * y``, where ``mask`` is empty.
+    """
+    num = np.where(mask, x * y, 0).sum(axis=-1)
+    den = np.where(mask, x * x, 0).sum(axis=-1)
+    return np.divide(num, den, out=np.full(num.shape, np.nan, num.dtype), where=den > 0)
 
 
 def _shift_ratios(x: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -128,32 +134,28 @@ def _shift_ratios(x: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndar
     return gx, gy
 
 
-def tls_phase_ratio(u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
+def tls_phase_ratio(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Total-least-squares estimate of the scalar ratio in ``v ~ u * delta``.
 
-    ``u`` and ``v`` are (n,) vectors, (n, cols) stacks fitted column by
-    column, or (T, n, cols) stacks of T trials.  With ``a = |u|^2``,
-    ``c = |v|^2`` and ``b = u^H v``, the null direction of the Gram matrix
-    ``[[a, b], [b*, c]]`` of ``[u v]`` gives
+    ``u`` and ``v`` are (T, n, cols) stacks of T trials, fitted column by
+    column.  With ``a = |u|^2``, ``c = |v|^2`` and ``b = u^H v``, the null
+    direction of the Gram matrix ``[[a, b], [b*, c]]`` of ``[u v]`` gives
     ``delta = b / (a - lmin)`` (Golub & Van Loan, *Matrix Computations*,
     section 6.3): the SVD fit in closed form.  Exact for a noiseless
     rank-one stack, symmetric in the noise on u and v otherwise.
 
     Returns:
-        A complex for (n,) inputs, a (cols,) or (T, cols) array otherwise;
-        NaN where the fit cannot identify a finite ratio.
+        A (T, cols) array; NaN where the fit cannot identify a finite ratio.
 
     Raises:
-        ValueError: on shape mismatch or an all-zero input column.
+        ValueError: on inputs that are not equal-shape 3-D stacks, or an
+            all-zero input column.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.ndim not in (1, 2, 3) or u.shape != v.shape:
-        raise ValueError(f"need equal-shape 1-D, 2-D or 3-D inputs, got {u.shape} "
+    if u.ndim != 3 or u.shape != v.shape:
+        raise ValueError(f"need equal-shape (T, n, cols) stacks, got {u.shape} "
                          f"and {v.shape}")
-    single = u.ndim == 1
-    if single:
-        u, v = u[:, None], v[:, None]
     a = (u.conj() * u).real.sum(axis=-2)
     c = (v.conj() * v).real.sum(axis=-2)
     if not (np.all(a > 0) and np.all(c > 0)):
@@ -167,9 +169,8 @@ def tls_phase_ratio(u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
     den = np.divide(abs_b ** 2, s, out=s.copy(), where=half < 0)
     # den / hypot(den, |b|) is the null vector's component along v
     degenerate = den <= _TLS_TOL * np.hypot(den, abs_b)
-    ratio = np.divide(b, den, out=np.full(b.shape, complex(np.nan, np.nan)),
-                      where=~degenerate)
-    return complex(ratio[0]) if single else ratio
+    return np.divide(b, den, out=np.full(b.shape, complex(np.nan, np.nan)),
+                     where=~degenerate)
 
 
 def distance_shift(k: int, r: float, cfg: SystemConfig) -> complex:
@@ -205,11 +206,12 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Distances from a (T, n_ris, k_ue) stack ``b`` of distance transforms.
 
     Each adjacent column pair (k, k+1) yields a phase whose model value is
-    ``-2 pi (2k+1) d_u^2 / (wavelength r)``.  The two center pairs, where
-    the phase magnitude is smallest and cannot wrap inside the near field,
-    give a coarse distance; the remaining phases are unwrapped to the branch
-    nearest their model prediction before inverting.  The estimate is the
-    mean of the per-pair distances.
+    ``coeff_k / r`` with ``coeff_k = -2 pi (2k+1) d_u^2 / wavelength``.  Only
+    pairs whose phase is nonzero and has the sign of a positive distance
+    enter a fit.  The two center pairs, where the phase magnitude is
+    smallest and cannot wrap inside the near field, give a coarse 1/r; the
+    phases are unwrapped to the branch nearest their model prediction from
+    it.  1/r is then the least-squares slope of the phases on ``coeff_k``.
 
     Returns:
         A (T,) array, NaN where a trial fails.
@@ -218,24 +220,18 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     kh = cfg.k_half
     k_vals = np.arange(-kh, kh)  # pair (k, k+1) per entry
     coeff = -2.0 * math.pi * (2 * k_vals + 1) * cfg.d_u ** 2 / cfg.wavelength
+    # coeff * phase above this: a nonzero phase of a positive distance's sign
+    bound = _ZERO_PHASE * np.abs(coeff)
 
-    # NaN for an unidentifiable pair, excluded below
+    # NaN for an unidentifiable pair; it compares False and is excluded
     phases = np.angle(tls_phase_ratio(stack[..., :-1], stack[..., 1:]))
 
-    def inverted(ok):
-        return np.divide(coeff, phases, out=np.zeros_like(phases), where=ok)
-
-    # coarse distance from the |2k+1| = 1 pairs (k = -1 and k = 0)
+    # coarse 1/r from the |2k+1| = 1 pairs (k = -1 and k = 0)
     center = np.abs(2 * k_vals + 1) == 1
-    coarse = inverted(center & (np.abs(phases) > _ZERO_PHASE))
-    coarse = _masked_mean(coarse, coarse > 0)
+    coarse = _slope(phases, coeff, center & (coeff * phases > bound))
     has = np.isfinite(coarse)
-    phases[has] = _nearest_branch(phases[has], coeff / coarse[has, None])
-
-    valid = np.abs(phases) > _ZERO_PHASE
-    r_hat = _masked_mean(inverted(valid), valid)
-    r_hat[~(np.isfinite(r_hat) & (r_hat > 0))] = np.nan
-    return r_hat
+    phases[has] = _nearest_branch(phases[has], coeff * coarse[has, None])
+    return 1 / _slope(phases, coeff, coeff * phases > bound)
 
 
 def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
@@ -255,8 +251,8 @@ def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
     ratios_x, ratios_y = _shift_ratios(stack, cfg)
     fit = np.isfinite(ratios_x) & np.isfinite(ratios_y)
     # a column enters both means or neither
-    delta_ex = _masked_mean(ratios_x, fit)
-    delta_ey = _masked_mean(ratios_y, fit)
+    delta_ex = _slope(ratios_x, 1.0, fit)
+    delta_ey = _slope(ratios_y, 1.0, fit)
     phase_x, phase_y = np.angle(delta_ex), np.angle(delta_ey)
     ax, ay = phase_x / cfg.d_x, phase_y / cfg.d_y
     # elevation 90 degrees leaves the azimuth undefined
@@ -275,50 +271,44 @@ def estimate_orientation(
     """Orientation azimuth/elevation from a stack ``d`` of orientation transforms.
 
     For each off-center antenna k, the x/y shift ratios are divided by the
-    direction ratios to leave pure orientation phases that scale with
-    ``k / r``.  The |k| = 1 antennas, whose phases cannot wrap inside the
-    near field, give the slope in k; every phase is unwrapped to the branch
-    nearest k times that slope (left as is if neither |k| = 1 antenna was
-    fitted).  Each k yields an azimuth (sign-corrected so negative k does
-    not flip the quadrant) and an elevation.  The azimuths are averaged on
-    the circle, the elevations arithmetically.  The direction ratios and
-    distances are (T,) arrays.
+    direction ratios to leave pure orientation phases ``k * (A_x, A_y)``.
+    The |k| = 1 antennas, whose phases cannot wrap inside the near field,
+    give a coarse slope; every phase is unwrapped to the branch nearest k
+    times it (left as is if neither |k| = 1 antenna was fitted).  (A_x, A_y)
+    are then the least-squares slopes of the phases on k over the fitted
+    antennas.  With ``alpha = (A_x / d_x, A_y / d_y)``, the azimuth is
+    ``atan2(alpha_y, alpha_x)`` and the elevation
+    ``arccos(wavelength r |alpha| / (4 pi d_u))`` (argument clipped into
+    [0, 1]).  The direction ratios and distances are (T,) arrays.
 
     Returns:
-        (psi_hat, gamma_hat): (T,) arrays, NaN where a trial fails (also
-        where its distance is not finite and positive).
+        (psi_hat, gamma_hat): (T,) arrays, NaN where a trial fails: where
+        its distance is not finite and positive, no antenna is fitted, or
+        both slopes are zero (the azimuth is undefined).
     """
     stack = _trials(d, cfg)
-    bad_r = ~(np.isfinite(r_hat) & (r_hat > 0))
+    r = np.where(np.isfinite(r_hat) & (r_hat > 0), r_hat, np.nan)
     # the center antenna carries no orientation phase
     k = cfg.antenna_offsets()
     off_center = k != 0
     kc = k[off_center]
-    sgn = np.sign(kc)
     gx, gy = (ratio[:, off_center] for ratio in _shift_ratios(stack, cfg))
     used = np.isfinite(gx) & np.isfinite(gy)
     phases = np.angle(np.stack([gx, gy])
                       / np.stack([delta_ex, delta_ey])[:, :, None])  # (2, T, K - 1)
-    inner = used & (np.abs(kc) == 1)
-    slope = _masked_mean(phases * sgn, inner)
-    has_slope = inner.any(axis=-1)
-    phases[:, has_slope] = _nearest_branch(phases[:, has_slope],
-                                           slope[:, has_slope, None] * kc)
-    alpha_x = phases[0] / cfg.d_x
-    alpha_y = phases[1] / cfg.d_y
-    # zero phases carry no azimuth information; averaging atan2 of rounding
-    # residue would silently bias the mean
-    has_azimuth = used & (np.abs(phases) > _ZERO_PHASE).any(axis=0)
-    psi = np.arctan2(sgn * alpha_y, sgn * alpha_x)
-    cos_args = (cfg.wavelength * r_hat[:, None] / (4 * math.pi * np.abs(kc) * cfg.d_u)
-                * np.hypot(alpha_x, alpha_y))
-    gamma = np.arccos(np.clip(cos_args, 0.0, 1.0))
-    # per-antenna azimuths near pi wrap to near -pi; take the circular mean
-    # and wrap it into [-pi/2, 3pi/2), the 2 pi window centred on (0, pi)
-    psi_hat = ((np.angle(_masked_mean(np.exp(1j * psi), has_azimuth)) + math.pi / 2)
-               % (2 * math.pi) - math.pi / 2)
-    gamma_hat = _masked_mean(gamma, used)
-    failed = bad_r | ~has_azimuth.any(axis=-1)
+    coarse = _slope(phases, kc, used & (np.abs(kc) == 1))  # (2, T)
+    has = np.isfinite(coarse[0])
+    phases[:, has] = _nearest_branch(phases[:, has], coarse[:, has, None] * kc)
+    slope_x, slope_y = _slope(phases, kc, used)
+    # both slopes zero leave the azimuth undefined (with no antenna fitted
+    # they are NaN, and so are both estimates)
+    vanish = (np.abs(slope_x) <= _ZERO_PHASE) & (np.abs(slope_y) <= _ZERO_PHASE)
+    alpha_x, alpha_y = slope_x / cfg.d_x, slope_y / cfg.d_y
+    # wrap into [-pi/2, 3pi/2), the 2 pi window centred on (0, pi)
+    psi_hat = (np.arctan2(alpha_y, alpha_x) + math.pi / 2) % (2 * math.pi) - math.pi / 2
+    cos_arg = cfg.wavelength * r / (4 * math.pi * cfg.d_u) * np.hypot(alpha_x, alpha_y)
+    gamma_hat = np.arccos(np.clip(cos_arg, 0.0, 1.0))
+    failed = np.isnan(r) | vanish
     psi_hat[failed] = np.nan
     gamma_hat[failed] = np.nan
     return psi_hat, gamma_hat

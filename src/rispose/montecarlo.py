@@ -163,21 +163,24 @@ def pose_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
 
 def _config_for(cfg_base: SystemConfig, axis: str, value) -> tuple[SystemConfig, float | None]:
     """Derive the grid-point config; returns (config, snr override or None)."""
-    if axis == "snr_db":
-        return cfg_base, float(value)
-    # the other axes are counts; int() would truncate 11.5 to 11
-    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
-        raise ValueError(f"sweep axis {axis} needs integer values, got {value!r}")
-    if axis == "N":
-        side = math.isqrt(int(value))
-        if side * side != int(value) or side % 2 == 0:
-            raise ValueError(f"RIS size sweep value {value} is not an odd square")
-        return replace(cfg_base, n_x=side, n_y=side, p_profiles=int(value)), None
-    if axis == "K":
-        return replace(cfg_base, k_ue=int(value)), None
-    if axis == "P":
-        return replace(cfg_base, p_profiles=int(value)), None
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    try:
+        if axis == "snr_db":
+            return cfg_base, float(value)
+        # the other axes are counts; int() would truncate 11.5 to 11
+        if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+            raise ValueError("the axis needs integer values")
+        if axis == "N":
+            side = math.isqrt(int(value))
+            if side * side != int(value) or side % 2 == 0:
+                raise ValueError("the RIS size is not an odd square")
+            return replace(cfg_base, n_x=side, n_y=side, p_profiles=int(value)), None
+        if axis == "K":
+            return replace(cfg_base, k_ue=int(value)), None
+        if axis == "P":
+            return replace(cfg_base, p_profiles=int(value)), None
+        raise ValueError("unknown sweep axis")
+    except ValueError as err:
+        raise ValueError(f"sweep value {axis} = {value}: {err}") from None
 
 
 def grid_points(cfg_base: SystemConfig, grid: dict[str, list]) -> list[tuple]:
@@ -188,7 +191,8 @@ def grid_points(cfg_base: SystemConfig, grid: dict[str, list]) -> list[tuple]:
 
     Raises:
         ValueError: on an unknown axis, or a value whose grid-point config
-            the axis or ``SystemConfig`` rejects.
+            the axis or ``SystemConfig`` rejects; the message then starts
+            with the axis and value, as in ``sweep value N = 9: ...``.
     """
     unknown = set(grid) - set(AXIS_CODES)
     if unknown:

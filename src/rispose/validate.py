@@ -191,7 +191,8 @@ def check_tls_exactness() -> CheckResult:
     rng = np.random.default_rng(7)
     u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     true = np.exp(1j * math.pi / 4)
-    err = abs(tls_phase_ratio(u, u * true) - true)
+    # one trial, one column
+    err = abs(tls_phase_ratio(u[None, :, None], (u * true)[None, :, None])[0, 0] - true)
     return _result("TLS rank-one exactness", float(err), TOL_IDENTITY)
 
 

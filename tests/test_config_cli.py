@@ -351,6 +351,19 @@ def test_cli_sweep_undefined_snr_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_cli_sweep_names_rejected_value(tmp_path, capsys):
+    # sweep_n = 25, 9 at the default spacings: N = 25 is valid and N = 9 breaks
+    # the distance wrap rule; the message names the value
+    cfg = tmp_path / "n.cfg"
+    out = tmp_path / "out.csv"
+    cfg.write_text(f"sweep_n = 25, 9\ntrials = 1\nout = {out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep value N = 9: ")
+    assert "distance wrap rule" in err
+    assert not out.exists()
+
+
 def test_cli_sweep_unwritable_output_exit_3(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(COMPACT + "sweep_snr_db = 10\ntrials = 1\n")

@@ -1,6 +1,7 @@
 """Estimator: transforms, TLS ratios, per-stage and end-to-end estimation."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -164,34 +165,44 @@ def test_orientation_transform_properties(cfg, pose):
 
 # ------------------------------------------------------------------------ TLS
 
+def column(x):
+    """An (n,) vector as a (1, n, 1) stack: one trial, one column."""
+    return np.asarray(x)[None, :, None]
+
+
 def test_tls_phase_ratio_simple_pair():
-    got = tls_phase_ratio(np.array([1.0, 1.0]), np.array([1.0j, 1.0j]))
-    assert got == pytest.approx(1.0j, abs=1e-12)
+    got = tls_phase_ratio(column([1.0, 1.0]), column([1.0j, 1.0j]))
+    assert got.shape == (1, 1)
+    assert got[0, 0] == pytest.approx(1.0j, abs=1e-12)
 
 
 def test_tls_phase_ratio_exact_on_rank_one():
     rng = np.random.default_rng(8)
     u = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     ratio = np.exp(1j * math.pi / 4)
-    assert tls_phase_ratio(u, u * ratio) == pytest.approx(ratio, abs=1e-12)
+    assert tls_phase_ratio(column(u), column(u * ratio))[0, 0] == pytest.approx(
+        ratio, abs=1e-12)
     # invariant to a common complex scaling of the pair
     scale = 2.3 - 0.7j
-    assert tls_phase_ratio(scale * u, scale * u * ratio) == pytest.approx(
-        ratio, abs=1e-12)
+    assert tls_phase_ratio(column(scale * u), column(scale * u * ratio))[0, 0] \
+        == pytest.approx(ratio, abs=1e-12)
 
 
 def test_tls_phase_ratio_perturbation_accuracy():
+    # 20 perturbed rank-one pairs, fitted as one (20, 80, 1) stack
     rng = np.random.default_rng(17)
     ratio = np.exp(0.6j)
-    worst = 0.0
+    us, vs = [], []
     for _ in range(20):
         u = rng.standard_normal(80) + 1j * rng.standard_normal(80)
         v = u * ratio
         noise_u = rng.standard_normal(80) + 1j * rng.standard_normal(80)
         noise_v = rng.standard_normal(80) + 1j * rng.standard_normal(80)
-        got = tls_phase_ratio(u + 1e-3 * noise_u, v + 1e-3 * noise_v)
-        worst = max(worst, abs(got - ratio))
-    assert worst < 5e-3
+        us.append(u + 1e-3 * noise_u)
+        vs.append(v + 1e-3 * noise_v)
+    got = tls_phase_ratio(np.stack(us)[..., None], np.stack(vs)[..., None])
+    assert got.shape == (20, 1)
+    assert np.abs(got - ratio).max() < 5e-3
 
 
 def svd_ratio(u, v):
@@ -214,38 +225,81 @@ def test_tls_phase_ratio_matches_svd_per_column():
     u[:, 3] *= 2.5
     v[:, 7] *= 1e4
     u[:, 5], v[:, 5] = 1e-15, 1.0  # null direction along u: no finite ratio
-    got = tls_phase_ratio(u, v)
+    got = tls_phase_ratio(u[None], v[None])
     expected = np.array([svd_ratio(u[:, j], v[:, j]) for j in range(cols)])
-    assert got.shape == (cols,)
-    assert np.isnan(got[5]) and np.isnan(expected[5])
+    assert got.shape == (1, cols)
+    assert np.isnan(got[0, 5]) and np.isnan(expected[5])
     ok = np.arange(cols) != 5
-    np.testing.assert_allclose(got[ok], expected[ok], rtol=1e-12)
-    # a single (n,) pair gives the same value as its column in the stack
-    single = tls_phase_ratio(u[:, 0], v[:, 0])
-    assert isinstance(single, complex)
-    assert single == pytest.approx(expected[0], rel=1e-12)
+    np.testing.assert_allclose(got[0, ok], expected[ok], rtol=1e-12)
+    # a one-column stack gives the same value as its column in the wide stack
+    one = tls_phase_ratio(u[None, :, :1], v[None, :, :1])
+    assert one.shape == (1, 1)
+    assert one[0, 0] == pytest.approx(expected[0], rel=1e-12)
     # a (T, n, cols) stack of trials fits each trial on its own
     stacked = tls_phase_ratio(np.stack([u, v[::-1]]), np.stack([v, u[::-1]]))
     assert stacked.shape == (2, cols)
-    np.testing.assert_allclose(stacked[0][ok], got[ok], rtol=1e-12)
-    np.testing.assert_allclose(stacked[1], tls_phase_ratio(v[::-1], u[::-1]), rtol=1e-12)
+    np.testing.assert_allclose(stacked[0][ok], got[0, ok], rtol=1e-12)
+    np.testing.assert_allclose(stacked[1], tls_phase_ratio(v[None, ::-1], u[None, ::-1])[0],
+                               rtol=1e-12)
 
 
 def test_tls_phase_ratio_input_validation():
-    with pytest.raises(ValueError):
-        tls_phase_ratio(np.ones(3), np.ones(4))
-    with pytest.raises(ValueError):
-        tls_phase_ratio(np.ones((3, 2)), np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        tls_phase_ratio(np.ones((3, 2, 2, 2)), np.ones((3, 2, 2, 2)))
-    with pytest.raises(ValueError):
-        tls_phase_ratio(np.zeros(3), np.ones(3))
-    stack = np.ones((3, 2))
-    stack[:, 1] = 0.0
-    with pytest.raises(ValueError):
-        tls_phase_ratio(np.ones((3, 2)), stack)
+    # stacks only: unequal shapes, and 1-D, 2-D and 4-D inputs are rejected
+    for u, v in ((np.ones((1, 3, 1)), np.ones((1, 4, 1))),
+                 (np.ones((1, 3, 2)), np.ones((1, 3, 3))),
+                 (np.ones(3), np.ones(3)),
+                 (np.ones((3, 2)), np.ones((3, 2))),
+                 (np.ones((3, 2, 2, 2)), np.ones((3, 2, 2, 2)))):
+        with pytest.raises(ValueError, match="stacks"):
+            tls_phase_ratio(u, v)
+    with pytest.raises(ValueError, match="nonzero norm"):
+        tls_phase_ratio(np.zeros((1, 3, 1)), np.ones((1, 3, 1)))
+    stack = np.ones((1, 3, 2))
+    stack[..., 1] = 0.0
+    with pytest.raises(ValueError, match="nonzero norm"):
+        tls_phase_ratio(np.ones((1, 3, 2)), stack)
     # degenerate fit: NaN, not an exception
-    assert np.isnan(tls_phase_ratio(np.array([1e-15, 1e-15]), np.array([1.0, 1.0])))
+    assert np.isnan(tls_phase_ratio(column([1e-15, 1e-15]), column([1.0, 1.0]))).all()
+
+
+# ---------------------------------------------------------------- slope fits
+
+def test_slope_matches_lstsq_on_masked_entries():
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal(9)
+    y = rng.standard_normal((4, 6, 9))
+    mask = rng.random((6, 9)) < 0.6
+    mask[0] = False  # an empty mask
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = est_mod._slope(y, x, mask)
+    assert got.shape == (4, 6) and got.dtype == y.dtype
+    assert np.isnan(got[:, 0]).all()
+    for i in range(4):
+        for j in range(1, 6):
+            m = mask[j]
+            expected = np.linalg.lstsq(x[m, None], y[i, j, m], rcond=None)[0][0]
+            assert got[i, j] == pytest.approx(expected, rel=1e-12)
+
+
+def test_slope_with_unit_x_is_the_masked_mean():
+    # complex y with x = 1: the mean over the mask, bit for bit; NaN entries
+    # outside the mask do not reach it
+    rng = np.random.default_rng(31)
+    y = rng.standard_normal((5, 15)) + 1j * rng.standard_normal((5, 15))
+    mask = rng.random((5, 15)) < 0.7
+    mask[2] = False
+    y[~mask] = complex(np.nan, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = est_mod._slope(y, 1.0, mask)
+    assert got.dtype == y.dtype
+    assert np.isnan(got[2])
+    rows = mask.any(axis=-1)
+    mean = np.where(mask, y, 0).sum(axis=-1)[rows] / np.count_nonzero(mask, axis=-1)[rows]
+    np.testing.assert_array_equal(got[rows], mean)
+    for i in np.flatnonzero(rows):
+        assert got[i] == pytest.approx(y[i, mask[i]].mean(), rel=1e-14)
 
 
 # ----------------------------------------------------------------- estimators
@@ -355,7 +409,7 @@ def test_estimate_orientation_noiseless(cfg, pose):
     assert psi == pytest.approx(pose.psi, abs=1e-6)
     assert gamma == pytest.approx(pose.gamma, abs=1e-6)
     # an antenna whose y-fit cannot identify a ratio is skipped: its finite,
-    # wrong x-ratio reaches neither mean
+    # wrong x-ratio reaches neither slope fit
     spoil_columns(d, cfg, 0)
     gx, gy = est_mod._shift_ratios(d, cfg)
     assert np.isnan(gy[0, 0]) and np.isfinite(gx[0, 0])
@@ -366,7 +420,7 @@ def test_estimate_orientation_noiseless(cfg, pose):
 
 def test_estimate_orientation_sign_symmetry(cfg, pose):
     # the negative and the positive antenna offsets each give the exact
-    # orientation alone: the sign correction keeps the quadrant
+    # orientation alone: a slope on signed k keeps the quadrant
     d = orientation_transform(fresnel_stack(pose, cfg))
     k = cfg.antenna_offsets()
     for spoiled in (k > 0, k < 0):

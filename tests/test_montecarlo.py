@@ -234,6 +234,19 @@ def test_run_sweep_input_validation(cfg, monkeypatch):
             run_sweep(cfg, grid, trials=2, master_seed=1)
 
 
+def test_grid_points_name_the_rejected_value():
+    # with several values on an axis, the error says which one was rejected
+    cfg = SystemConfig()
+    for grid, message in (({"N": [25, 9]}, "sweep value N = 9: the near-field window"),
+                          ({"N": [25, 49, 50]}, "sweep value N = 50: the RIS size"),
+                          ({"snr_db": [10.0], "K": [5, 4]}, "sweep value K = 4: k_ue"),
+                          ({"P": [121, 10]}, "sweep value P = 10: p_profiles"),
+                          ({"K": [7.25]}, "sweep value K = 7.25: the axis needs integer")):
+        with pytest.raises(ValueError) as exc:
+            grid_points(cfg, grid)
+        assert str(exc.value).startswith(message), str(exc.value)
+
+
 def trial_loop_rows(cfg_base, grid, trials, master_seed, snr_db, mode):
     """(nmse, failures) per (axis, value, param) from one ``run_trial`` per trial."""
     rows = {}
