@@ -163,6 +163,14 @@ def pilot_matrix(cfg: SystemConfig) -> np.ndarray:
     return _pilot_scale(cfg) * np.exp(-2j * np.pi * a * b / cfg.l_pilot)
 
 
+def check_snr(snr_db, what: str = "snr_db") -> float:
+    """``snr_db`` as a float; ValueError naming ``what`` if NaN or -inf (+inf is noiseless)."""
+    snr_db = float(snr_db)
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"{what} must be a number above -inf, got {snr_db!r}")
+    return snr_db
+
+
 def _noise_std(u: np.ndarray, cfg: SystemConfig, snr_db: float) -> np.ndarray:
     """Per-part noise std of the observation at the receive SNR ``snr_db``.
 
@@ -183,8 +191,7 @@ def _noise_std(u: np.ndarray, cfg: SystemConfig, snr_db: float) -> np.ndarray:
     Raises:
         ValueError: if ``snr_db`` is NaN or -inf.
     """
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be a number above -inf, got {snr_db!r}")
+    check_snr(snr_db)
     _, _, counts = _link(cfg)
     energy = (counts * (u.real ** 2 + u.imag ** 2).sum(axis=-1)).sum(axis=-1)
     with np.errstate(over="ignore"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .channel import ChannelMode
+from .channel import ChannelMode, check_snr
 from .geometry import SystemConfig
 from .montecarlo import grid_points
 
@@ -99,12 +99,8 @@ class RunConfig:
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be nonnegative, got "
                               f"{self.master_seed}")
-        # +inf is the noiseless setting; NaN and -inf have no noise level
-        for value in (self.snr_db, *self.grid.get("snr_db", ())):
-            if math.isnan(value) or value == -math.inf:
-                raise ConfigError(f"snr_db values must be numbers above -inf, "
-                                  f"got {value!r}")
         try:
+            check_snr(self.snr_db)
             grid_points(self.system, self.grid)
         except ValueError as err:
             raise ConfigError(str(err)) from None

@@ -42,7 +42,8 @@ _TLS_TOL = 1e-12
 # c = 64.  The pose box's smallest phases are many orders of magnitude above it.
 _ZERO_PHASE = 64 * np.finfo(float).eps * math.pi
 
-# the message of the EstimationError that ``estimate_pose`` raises per stage
+# The stages in pipeline order, each with its EstimationError message; a failed
+# trial's stage is the first whose column is NaN
 _FAILURES = {
     "nonfinite": "recovered channel is not finite",
     "distance": "every column-pair phase was zero, unidentifiable or of the "
@@ -52,6 +53,7 @@ _FAILURES = {
     "orientation": "orientation phases unidentifiable for every antenna or "
                    "all zero, or the distance was not finite and positive",
 }
+_STAGES = np.array(list(_FAILURES), dtype=object)
 
 
 class EstimationError(Exception):
@@ -127,10 +129,11 @@ def _shift_ratios(x: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndar
 
     ``x`` is a (T, n_ris, k_ue) stack; the ratios are (T, k_ue).
     """
-    g = _grid(x, cfg)
-    t, k = len(g), g.shape[-1]
-    gx = tls_phase_ratio(g[:, :-1].reshape(t, -1, k), g[:, 1:].reshape(t, -1, k))
-    gy = tls_phase_ratio(g[:, :, :-1].reshape(t, -1, k), g[:, :, 1:].reshape(t, -1, k))
+    t, nx, ny, k = len(x), cfg.n_x, cfg.n_y, cfg.k_ue
+    g = x.reshape(t, nx, ny, k)  # ``_grid`` with every size given, as T may be 0
+    gx = tls_phase_ratio(*(s.reshape(t, (nx - 1) * ny, k) for s in (g[:, :-1], g[:, 1:])))
+    gy = tls_phase_ratio(*(s.reshape(t, nx * (ny - 1), k)
+                           for s in (g[:, :, :-1], g[:, :, 1:])))
     return gx, gy
 
 
@@ -283,8 +286,9 @@ def estimate_orientation(
 
     Returns:
         (psi_hat, gamma_hat): (T,) arrays, NaN where a trial fails: where
-        its distance is not finite and positive, no antenna is fitted, or
-        both slopes are zero (the azimuth is undefined).
+        its distance is not finite and positive, no antenna is fitted (as
+        where a direction ratio is NaN), or both slopes are zero (the
+        azimuth is undefined).
     """
     stack = _trials(d, cfg)
     r = np.where(np.isfinite(r_hat) & (r_hat > 0), r_hat, np.nan)
@@ -293,9 +297,12 @@ def estimate_orientation(
     off_center = k != 0
     kc = k[off_center]
     gx, gy = (ratio[:, off_center] for ratio in _shift_ratios(stack, cfg))
-    used = np.isfinite(gx) & np.isfinite(gy)
-    phases = np.angle(np.stack([gx, gy])
-                      / np.stack([delta_ex, delta_ey])[:, :, None])  # (2, T, K - 1)
+    ratios = np.stack([delta_ex, delta_ey])[:, :, None]  # (2, T, 1)
+    # a trial without direction ratios fits no antenna; dividing by a stand-in
+    # 1 rather than NaN keeps the division free of invalid-value warnings
+    known = np.isfinite(ratios).all(axis=0)
+    used = np.isfinite(gx) & np.isfinite(gy) & known
+    phases = np.angle(np.stack([gx, gy]) / np.where(known, ratios, 1))  # (2, T, K - 1)
     coarse = _slope(phases, kc, used & (np.abs(kc) == 1))  # (2, T)
     has = np.isfinite(coarse[0])
     phases[:, has] = _nearest_branch(phases[:, has], coarse[:, has, None] * kc)
@@ -318,9 +325,10 @@ def estimate_pose_from_channel(a: np.ndarray,
                                cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run the three-stage estimator on a stack of recovered channels.
 
-    Each stage runs on the trials that passed the earlier ones only, so a
-    failed trial's NaN never reaches the arithmetic of another stage, and
-    one trial's failure never affects the others.
+    Every stage runs once on every trial whose channel is finite; a stage
+    marks a failed trial with NaN, which the later stages carry through
+    without touching the other trials.  A trial's stage is the first key
+    of ``_FAILURES`` whose column is NaN.
 
     Args:
         a: (T, n_ris, k_ue) stack of recovered channels.
@@ -337,34 +345,17 @@ def estimate_pose_from_channel(a: np.ndarray,
         ValueError: if ``a`` is not such a stack.
     """
     a = _trials(a, cfg)
-    estimates = np.full((len(a), 5), np.nan)
-    stage = np.full(len(a), None, dtype=object)
     finite = np.isfinite(a).all(axis=(1, 2))
-    stage[~finite] = "nonfinite"
-    idx = np.flatnonzero(finite)
-
-    def survivors(name, value):
-        failed = np.isnan(value)
-        stage[idx[failed]] = name
-        return ~failed
-
-    def alive():
-        return a if idx.size == len(a) else a[idx]
-
-    if idx.size:
-        r = estimate_distance(distance_transform(alive()), cfg)
-        keep = survivors("distance", r)
-        idx, r = idx[keep], r[keep]
-        estimates[idx, 0] = r
-    if idx.size:
-        theta, phi, dex, dey = estimate_direction(direction_transform(alive()), cfg)
-        keep = survivors("direction", theta)
-        idx, r, theta, phi, dex, dey = (x[keep] for x in (idx, r, theta, phi, dex, dey))
-        estimates[idx, 1:3] = np.stack([theta, phi], axis=1)
-    if idx.size:
-        psi, gamma = estimate_orientation(orientation_transform(alive()), dex, dey, r, cfg)
-        keep = survivors("orientation", psi)
-        estimates[idx[keep], 3:] = np.stack([psi, gamma], axis=1)[keep]
+    ok = a if finite.all() else a[finite]
+    r = estimate_distance(distance_transform(ok), cfg)
+    theta, phi, dex, dey = estimate_direction(direction_transform(ok), cfg)
+    psi, gamma = estimate_orientation(orientation_transform(ok), dex, dey, r, cfg)
+    estimates = np.full((len(a), 5), np.nan)
+    estimates[finite] = np.stack([r, theta, phi, psi, gamma], axis=1)
+    estimates[np.isnan(estimates[:, 0]), 1:] = np.nan
+    # one column per key of _FAILURES: nonfinite, distance, direction, orientation
+    failed = np.column_stack([~finite, np.isnan(estimates[:, [0, 1, 3]])])
+    stage = np.where(failed.any(axis=1), _STAGES[failed.argmax(axis=1)], None)
     return estimates, stage
 
 

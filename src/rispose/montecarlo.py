@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelMode, ris_ue_channel, sound_and_recover
+from .channel import ChannelMode, check_snr, ris_ue_channel, sound_and_recover
 from .estimator import PoseEstimate, estimate_pose_from_channel
 from .geometry import Pose, SystemConfig, poses_from_uniforms
 
@@ -165,7 +165,7 @@ def _config_for(cfg_base: SystemConfig, axis: str, value) -> tuple[SystemConfig,
     """Derive the grid-point config; returns (config, snr override or None)."""
     try:
         if axis == "snr_db":
-            return cfg_base, float(value)
+            return cfg_base, check_snr(value, "the SNR")
         # the other axes are counts; int() would truncate 11.5 to 11
         if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
             raise ValueError("the axis needs integer values")
@@ -220,9 +220,11 @@ def run_sweep(cfg_base: SystemConfig, grid: dict[str, list], trials: int,
         order regardless of dict ordering, plus run metadata.
 
     Raises:
-        ValueError: on an empty grid, a bad grid point (see ``grid_points``;
-            checked before any trial runs) or ``trials < 1``.
+        ValueError: on an empty grid, a bad grid point (see ``grid_points``),
+            ``trials < 1`` or an ``snr_db`` of NaN or -inf, all checked
+            before any trial runs.
     """
+    check_snr(snr_db)
     points = grid_points(cfg_base, grid)
     if not points:
         raise ValueError("sweep grid is empty")

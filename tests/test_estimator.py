@@ -489,6 +489,25 @@ def test_estimate_orientation_requires_positive_distance(cfg, pose, monkeypatch)
     assert np.isfinite(estimates[0, 1:3]).all() and np.isnan(estimates[0, 3:]).all()
 
 
+def test_estimate_orientation_without_direction_ratios(cfg, pose):
+    # a trial whose direction ratios are NaN (it failed at direction) fits no
+    # antenna: it gets NaN, the other trials keep their exact estimates, and
+    # no division by NaN warns
+    poses = [pose, replace(pose, psi=math.radians(20)), replace(pose, gamma=math.radians(60))]
+    d = orientation_transform(fresnel_stack(poses, cfg))
+    dex, dey, r = (np.concatenate(x) for x in zip(*(true_ratios(p, cfg) for p in poses)))
+    want_psi, want_gamma = estimate_orientation(d, dex, dey, r, cfg)
+    dex[1] = dey[1] = complex(np.nan, np.nan)
+    dex[2] = complex(np.nan, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi, gamma = estimate_orientation(d, dex, dey, r, cfg)
+    assert np.isnan(psi[1:]).all() and np.isnan(gamma[1:]).all()
+    assert psi[0] == want_psi[0] and gamma[0] == want_gamma[0]
+    assert psi[0] == pytest.approx(pose.psi, abs=1e-6)
+    assert gamma[0] == pytest.approx(pose.gamma, abs=1e-6)
+
+
 def test_orientation_azimuth_near_pi_does_not_wrap(cfg):
     # at psi = 169 deg and 0 dB some per-antenna azimuths land past the +-pi
     # cut; an arithmetic mean of them is off by up to 2 pi / K
@@ -600,6 +619,23 @@ def test_estimate_pose_partial_results_on_late_failure(cfg, pose, monkeypatch):
     with pytest.raises(EstimationError) as exc:
         estimate_pose(y, cfg)
     assert exc.value.stage == "direction"
+
+
+def test_conjugated_channel_fails_whole_row_at_distance(cfg, pose):
+    # every stage sees every finite trial: a conjugated Fresnel channel has the
+    # distance phases of a negative distance, but finite direction angles (its
+    # direction phases are negated).  Its row is NaN from the distance stage
+    # on, and the other trials' rows are those of a stack without it.
+    a = fresnel_stack([pose, replace(pose, r=2.0), replace(pose, theta=math.radians(20))], cfg)
+    a[1] = a[1].conj()
+    assert np.isnan(estimate_distance(distance_transform(a[1:2]), cfg)).all()
+    theta, phi, _, _ = estimate_direction(direction_transform(a[1:2]), cfg)
+    assert np.isfinite(theta).all() and np.isfinite(phi).all()
+    estimates, stage = estimate_pose_from_channel(a, cfg)
+    assert list(stage) == [None, "distance", None]
+    assert np.isnan(estimates[1]).all()
+    others, _ = estimate_pose_from_channel(a[[0, 2]], cfg)
+    np.testing.assert_array_equal(estimates[[0, 2]], others)
 
 
 def test_estimate_pose_error_names_stage_once(cfg):

@@ -234,6 +234,20 @@ def test_run_sweep_input_validation(cfg, monkeypatch):
             run_sweep(cfg, grid, trials=2, master_seed=1)
 
 
+def test_run_sweep_checks_snr_before_any_trial(cfg, monkeypatch):
+    # a NaN or -inf SNR, on the axis or as the operating SNR, used to run
+    # every trial before it until the first one at that SNR raised
+    def no_trial(*args, **kwargs):
+        raise AssertionError("trials ran before the SNR was checked")
+
+    monkeypatch.setattr(mc_mod, "_run_trials", no_trial)
+    for grid, snr_db in (({"snr_db": [10, 20, math.nan]}, 15.0),
+                         ({"snr_db": [-math.inf]}, 15.0),
+                         ({"K": [5]}, math.nan), ({"K": [5]}, -math.inf)):
+        with pytest.raises(ValueError, match="snr_db"):
+            run_sweep(cfg, grid, trials=2, master_seed=0, snr_db=snr_db)
+
+
 def test_grid_points_name_the_rejected_value():
     # with several values on an axis, the error says which one was rejected
     cfg = SystemConfig()
@@ -241,7 +255,9 @@ def test_grid_points_name_the_rejected_value():
                           ({"N": [25, 49, 50]}, "sweep value N = 50: the RIS size"),
                           ({"snr_db": [10.0], "K": [5, 4]}, "sweep value K = 4: k_ue"),
                           ({"P": [121, 10]}, "sweep value P = 10: p_profiles"),
-                          ({"K": [7.25]}, "sweep value K = 7.25: the axis needs integer")):
+                          ({"K": [7.25]}, "sweep value K = 7.25: the axis needs integer"),
+                          ({"snr_db": [10.0, math.nan]}, "sweep value snr_db = nan: the SNR"),
+                          ({"snr_db": [-math.inf]}, "sweep value snr_db = -inf: the SNR")):
         with pytest.raises(ValueError) as exc:
             grid_points(cfg, grid)
         assert str(exc.value).startswith(message), str(exc.value)
