@@ -81,7 +81,7 @@ def ris_ue_channel(pose: np.ndarray, cfg: SystemConfig, mode: ChannelMode) -> np
         )
     else:
         raise ValueError(f"unknown channel mode {mode!r}")
-    excess = excess.reshape(*pose.shape[:-1], cfg.n_ris, -1)
+    excess = excess.reshape(*pose.shape[:-1], cfg.n_ris, cfg.k_ue)
     return np.exp(-2j * np.pi * excess / cfg.wavelength)
 
 
@@ -220,8 +220,10 @@ def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
     a failure.
 
     Raises:
-        ValueError: if ``snr_db`` is NaN or -inf.
+        ValueError: if ``a`` is not (n_ris, k_ue), or ``snr_db`` is NaN or -inf.
     """
+    if a.shape != (cfg.n_ris, cfg.k_ue):
+        raise ValueError(f"expected channel shape {(cfg.n_ris, cfg.k_ue)}, got {a.shape}")
     h_b, h_r, _ = _link(cfg)
     # row r is conj(h_r) * profile row r applied to the channel, times the
     # pilots; the element-axis FFT goes first, while there are only k_ue columns

@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -26,10 +26,8 @@ def _load(path: str | None) -> RunConfig:
 
 
 def _apply_overrides(rc: RunConfig, args: argparse.Namespace) -> RunConfig:
-    flags = {"snr_db": "snr_db", "seed": "master_seed", "trials": "trials",
-             "mode": "mode", "out": "out", "format": "out_format"}
-    return replace(rc, **{key: getattr(args, attr) for attr, key in flags.items()
-                          if getattr(args, attr, None) is not None})
+    return replace(rc, **{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                          if getattr(args, f.name, None) is not None})
 
 
 def _parse_pose_arg(text: str) -> Pose:
@@ -153,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flat key = value config file")
     common.add_argument("--snr-db", dest="snr_db", type=float, metavar="X",
                         help="operating SNR in dB ('inf' for noiseless)")
-    common.add_argument("--seed", type=int, metavar="U64", help="master seed")
+    common.add_argument("--seed", dest="master_seed", type=int, metavar="U64",
+                        help="master seed")
     common.add_argument("--mode", choices=[m.value for m in ChannelMode],
                         help="channel distance model")
 
@@ -168,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, metavar="N",
                          help="trials per grid point")
     p_sweep.add_argument("--out", metavar="PATH", help="output table path")
-    p_sweep.add_argument("--format", choices=["csv", "json"],
+    p_sweep.add_argument("--format", dest="out_format", choices=["csv", "json"],
                          help="output format")
     p_sweep.set_defaults(func=cmd_sweep)
 

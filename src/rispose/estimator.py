@@ -200,9 +200,28 @@ def orientation_shifts(pose: Pose, k: int,
     return complex(gx), complex(gy)
 
 
-def _nearest_branch(phase: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    """``phase`` moved by whole turns to the branch nearest ``predicted``."""
-    return phase + 2 * np.pi * np.round((predicted - phase) / (2 * np.pi))
+def _unwrap_to_anchor(phases: np.ndarray, x, anchor: np.ndarray) -> None:
+    """Move ``phases`` in place by whole turns to the branch nearest x times their slope.
+
+    The slope is ``_slope(phases, x, anchor)``; a NaN slope (empty anchor) moves nothing.
+    """
+    coarse = _slope(phases, x, anchor)
+    has = np.isfinite(coarse)
+    phases[has] += 2 * np.pi * np.round((coarse[has, None] * x - phases[has]) / (2 * np.pi))
+
+
+def _azimuth_elevation(px, py, cos_scale, cfg: SystemConfig) -> tuple:
+    """``atan2(py / d_y, px / d_x)`` and ``arccos(cos_scale * hypot(px / d_x, py / d_y))``.
+
+    The arccos argument is clipped into [0, 1].  Both angles are NaN where both
+    phases are within ``_ZERO_PHASE`` of 0 (the azimuth is undefined).
+    """
+    ax, ay = px / cfg.d_x, py / cfg.d_y
+    vanish = (np.abs(px) <= _ZERO_PHASE) & (np.abs(py) <= _ZERO_PHASE)
+    azimuth = np.arctan2(ay, ax)
+    elevation = np.arccos(np.clip(cos_scale * np.hypot(ax, ay), 0.0, 1.0))
+    azimuth[vanish] = elevation[vanish] = np.nan
+    return azimuth, elevation
 
 
 def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -211,10 +230,9 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     Each adjacent column pair (k, k+1) yields a phase whose model value is
     ``coeff_k / r`` with ``coeff_k = -2 pi (2k+1) d_u^2 / wavelength``.  Only
     pairs whose phase is nonzero and has the sign of a positive distance
-    enter a fit.  The two center pairs, where the phase magnitude is
-    smallest and cannot wrap inside the near field, give a coarse 1/r; the
-    phases are unwrapped to the branch nearest their model prediction from
-    it.  1/r is then the least-squares slope of the phases on ``coeff_k``.
+    enter a fit.  The phases are unwrapped (``_unwrap_to_anchor``) with the
+    two center pairs, which cannot wrap inside the near field, as anchor.
+    1/r is then the least-squares slope of the phases on ``coeff_k``.
 
     Returns:
         A (T,) array, NaN where a trial fails.
@@ -229,11 +247,8 @@ def estimate_distance(b: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     # NaN for an unidentifiable pair; it compares False and is excluded
     phases = np.angle(tls_phase_ratio(stack[..., :-1], stack[..., 1:]))
 
-    # coarse 1/r from the |2k+1| = 1 pairs (k = -1 and k = 0)
-    center = np.abs(2 * k_vals + 1) == 1
-    coarse = _slope(phases, coeff, center & (coeff * phases > bound))
-    has = np.isfinite(coarse)
-    phases[has] = _nearest_branch(phases[has], coeff * coarse[has, None])
+    center = np.abs(2 * k_vals + 1) == 1  # the anchor: pairs k = -1 and k = 0
+    _unwrap_to_anchor(phases, coeff, center & (coeff * phases > bound))
     return 1 / _slope(phases, coeff, coeff * phases > bound)
 
 
@@ -242,9 +257,8 @@ def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
 
     Per column, a TLS fit over x-axis (y-axis) row pairs estimates the two
     element-shift ratios; the complex ratios are averaged over the columns
-    where both fits identify a ratio (the rest are skipped), then
-    the azimuth comes from the two-argument arctangent of the scaled phases
-    and the elevation from an arccosine (argument clipped into [0, 1]).
+    where both fits identify a ratio (the rest are skipped), and
+    ``_azimuth_elevation`` maps their phases (``cos_scale = wavelength / (4 pi)``).
 
     Returns:
         (theta_hat, phi_hat, delta_ex, delta_ey): (T,) arrays, NaN where a
@@ -256,15 +270,10 @@ def estimate_direction(c: np.ndarray, cfg: SystemConfig) -> tuple:
     # a column enters both means or neither
     delta_ex = _slope(ratios_x, 1.0, fit)
     delta_ey = _slope(ratios_y, 1.0, fit)
-    phase_x, phase_y = np.angle(delta_ex), np.angle(delta_ey)
-    ax, ay = phase_x / cfg.d_x, phase_y / cfg.d_y
-    # elevation 90 degrees leaves the azimuth undefined
-    vanish = (np.abs(phase_x) <= _ZERO_PHASE) & (np.abs(phase_y) <= _ZERO_PHASE)
-    theta_hat = np.arctan2(ay, ax)
-    cos_arg = cfg.wavelength / (4 * math.pi) * np.hypot(ax, ay)
-    phi_hat = np.arccos(np.clip(cos_arg, 0.0, 1.0))
-    for x in (theta_hat, phi_hat, delta_ex, delta_ey):
-        x[vanish] = np.nan
+    theta_hat, phi_hat = _azimuth_elevation(np.angle(delta_ex), np.angle(delta_ey),
+                                            cfg.wavelength / (4 * math.pi), cfg)
+    failed = np.isnan(theta_hat)
+    delta_ex[failed] = delta_ey[failed] = np.nan
     return theta_hat, phi_hat, delta_ex, delta_ey
 
 
@@ -275,14 +284,12 @@ def estimate_orientation(
 
     For each off-center antenna k, the x/y shift ratios are divided by the
     direction ratios to leave pure orientation phases ``k * (A_x, A_y)``.
-    The |k| = 1 antennas, whose phases cannot wrap inside the near field,
-    give a coarse slope; every phase is unwrapped to the branch nearest k
-    times it (left as is if neither |k| = 1 antenna was fitted).  (A_x, A_y)
-    are then the least-squares slopes of the phases on k over the fitted
-    antennas.  With ``alpha = (A_x / d_x, A_y / d_y)``, the azimuth is
-    ``atan2(alpha_y, alpha_x)`` and the elevation
-    ``arccos(wavelength r |alpha| / (4 pi d_u))`` (argument clipped into
-    [0, 1]).  The direction ratios and distances are (T,) arrays.
+    They are unwrapped (``_unwrap_to_anchor``) with the |k| = 1 antennas,
+    which cannot wrap inside the near field, as anchor.  (A_x, A_y) are the
+    least-squares slopes of the phases on k over the fitted antennas, and
+    ``_azimuth_elevation`` maps them, with ``cos_scale = wavelength r /
+    (4 pi d_u)``, to psi, wrapped into [-pi/2, 3pi/2), and gamma.  The
+    direction ratios and distances are (T,) arrays.
 
     Returns:
         (psi_hat, gamma_hat): (T,) arrays, NaN where a trial fails: where
@@ -303,21 +310,12 @@ def estimate_orientation(
     known = np.isfinite(ratios).all(axis=0)
     used = np.isfinite(gx) & np.isfinite(gy) & known
     phases = np.angle(np.stack([gx, gy]) / np.where(known, ratios, 1))  # (2, T, K - 1)
-    coarse = _slope(phases, kc, used & (np.abs(kc) == 1))  # (2, T)
-    has = np.isfinite(coarse[0])
-    phases[:, has] = _nearest_branch(phases[:, has], coarse[:, has, None] * kc)
-    slope_x, slope_y = _slope(phases, kc, used)
-    # both slopes zero leave the azimuth undefined (with no antenna fitted
-    # they are NaN, and so are both estimates)
-    vanish = (np.abs(slope_x) <= _ZERO_PHASE) & (np.abs(slope_y) <= _ZERO_PHASE)
-    alpha_x, alpha_y = slope_x / cfg.d_x, slope_y / cfg.d_y
+    _unwrap_to_anchor(phases, kc, used & (np.abs(kc) == 1))
+    scale = cfg.wavelength * r / (4 * math.pi * cfg.d_u)
+    psi_hat, gamma_hat = _azimuth_elevation(*_slope(phases, kc, used), scale, cfg)
     # wrap into [-pi/2, 3pi/2), the 2 pi window centred on (0, pi)
-    psi_hat = (np.arctan2(alpha_y, alpha_x) + math.pi / 2) % (2 * math.pi) - math.pi / 2
-    cos_arg = cfg.wavelength * r / (4 * math.pi * cfg.d_u) * np.hypot(alpha_x, alpha_y)
-    gamma_hat = np.arccos(np.clip(cos_arg, 0.0, 1.0))
-    failed = np.isnan(r) | vanish
-    psi_hat[failed] = np.nan
-    gamma_hat[failed] = np.nan
+    psi_hat = (psi_hat + math.pi / 2) % (2 * math.pi) - math.pi / 2
+    psi_hat[np.isnan(r)] = np.nan  # gamma_hat is NaN there already
     return psi_hat, gamma_hat
 
 

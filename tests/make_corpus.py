@@ -1,8 +1,8 @@
 """Regenerate ``tests/corpus.json``, the regression corpus of seeded outputs.
 
-Run from the repository root:
+Run from the repository root; an optional argument writes another path:
 
-    PYTHONPATH=src python3 tests/make_corpus.py
+    PYTHONPATH=src python3 tests/make_corpus.py [OUT]
 
 Each sweep case below is run with ``run_sweep`` and stored with every
 row's NMSE and failure count; each CLI case is a README ``rispose
@@ -10,6 +10,16 @@ estimate`` example, stored with its estimate.  ``test_corpus.py`` reruns
 the cases from the file and compares.  A change that moves seeded
 realisations or estimates on purpose regenerates the file in the same
 commit and says which rows moved and why.
+
+A change meant to leave every output as it was checks that bit for bit:
+regenerate to a temporary file and compare it with the committed corpus
+on the same machine,
+
+    PYTHONPATH=src python3 tests/make_corpus.py /tmp/corpus.json
+    cmp /tmp/corpus.json tests/corpus.json
+
+Bits can differ across numpy builds, so CI runs the script end to end
+without comparing its output.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 from rispose import ChannelMode, SystemConfig, run_sweep
@@ -73,5 +84,6 @@ def build() -> dict:
 
 
 if __name__ == "__main__":
-    CORPUS.write_text(json.dumps(build(), indent=1, allow_nan=False) + "\n")
-    print(f"wrote {CORPUS}")
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else CORPUS
+    out.write_text(json.dumps(build(), indent=1, allow_nan=False) + "\n")
+    print(f"wrote {out}")

@@ -122,6 +122,13 @@ def test_ris_ue_channel_at_box_edges(small):
                     assert a[row, k + small.k_half] == pytest.approx(expected, abs=1e-12)
 
 
+def test_ris_ue_channel_empty_pose_stack(small):
+    # T = 0 poses give an empty (0, N, K) stack, as sound_and_recover takes
+    for mode in ChannelMode:
+        assert ris_ue_channel(np.empty((0, 5)), small, mode).shape == (0, small.n_ris,
+                                                                         small.k_ue)
+
+
 def test_fresnel_error_shrinks_with_range(cfg):
     def gap(r):
         p = Pose(r=r, theta=math.radians(65), phi=math.radians(35),
@@ -219,6 +226,13 @@ def test_observe_rejects_undefined_snr(small, pose):
     for snr_db in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="snr_db"):
             observe(a, small, snr_db, np.random.default_rng(0))
+
+
+def test_observe_rejects_wrong_channel_shape():
+    c = SystemConfig(m_bs=3, k_ue=5, n_x=5, n_y=7, p_profiles=35, l_pilot=8)
+    for a in (np.ones((35, 3), complex), np.ones((1, 35, 5), complex)):
+        with pytest.raises(ValueError, match=r"\(35, 5\)"):
+            observe(a, c, math.inf, np.random.default_rng(0))
 
 
 def test_observe_noiseless_leaves_rng_untouched(small, pose):

@@ -1,5 +1,6 @@
 """Estimator: transforms, TLS ratios, per-stage and end-to-end estimation."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -18,7 +19,8 @@ from rispose.estimator import (EstimationError,
                                estimate_orientation, estimate_pose,
                                estimate_pose_from_channel, orientation_shifts,
                                orientation_transform, tls_phase_ratio)
-from rispose.geometry import (Pose, SystemConfig, near_field_bounds,
+from rispose.geometry import (GAMMA_RANGE_DEG, PHI_RANGE_DEG, PSI_RANGE_DEG,
+                              THETA_RANGE_DEG, Pose, SystemConfig, near_field_bounds,
                               poses_from_uniforms, sample_pose, unit_direction)
 
 
@@ -300,6 +302,74 @@ def test_slope_with_unit_x_is_the_masked_mean():
     np.testing.assert_array_equal(got[rows], mean)
     for i in np.flatnonzero(rows):
         assert got[i] == pytest.approx(y[i, mask[i]].mean(), rel=1e-14)
+
+
+# ------------------------------------------------ shared steps of the stages
+
+def box_poses(cfg):
+    """Every pose of the box's edges and midpoints: 3 values per parameter."""
+    axes = [near_field_bounds(cfg)] + [tuple(map(math.radians, rng)) for rng in
+                                       (THETA_RANGE_DEG, PHI_RANGE_DEG,
+                                        PSI_RANGE_DEG, GAMMA_RANGE_DEG)]
+    return [Pose(*p) for p in itertools.product(*((lo, (lo + hi) / 2, hi)
+                                                  for lo, hi in axes))]
+
+
+def test_azimuth_elevation_round_trip_over_the_box(cfg):
+    # the model shifts' phases map back to the pose's angles, box edges included
+    poses = box_poses(cfg)
+    shifts = np.array([direction_shifts(p, cfg) for p in poses])  # (T, 2)
+    theta, phi = est_mod._azimuth_elevation(*np.angle(shifts.T),
+                                            cfg.wavelength / (4 * math.pi), cfg)
+    np.testing.assert_allclose(theta, [p.theta for p in poses], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(phi, [p.phi for p in poses], rtol=0, atol=1e-9)
+    r = np.array([p.r for p in poses])
+    for k in (-1, 1):
+        ratio = np.array([orientation_shifts(p, k, cfg) for p in poses]) / shifts
+        psi, gamma = est_mod._azimuth_elevation(
+            *(np.angle(ratio.T) / k), cfg.wavelength * r / (4 * math.pi * cfg.d_u), cfg)
+        np.testing.assert_allclose(psi, [p.psi for p in poses], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(gamma, [p.gamma for p in poses], rtol=0, atol=1e-9)
+
+
+def test_azimuth_elevation_clip_and_zero_phases(cfg):
+    z = est_mod._ZERO_PHASE
+    # an arccos argument above 1 is clipped: elevation exactly 0
+    theta, phi = est_mod._azimuth_elevation(np.array([1.0, -0.5]), np.array([1.0, 0.2]),
+                                            10.0, cfg)
+    np.testing.assert_array_equal(phi, [0.0, 0.0])
+    assert np.isfinite(theta).all()
+    # both phases within _ZERO_PHASE of 0: both angles NaN; one is enough to keep them
+    px = np.array([0.0, z, -z / 2, 0.0, 0.3, z, 2 * z])
+    py = np.array([0.0, -z, z / 3, 0.4, 0.0, 2 * z, z])
+    theta, phi = est_mod._azimuth_elevation(px, py, 1.0, cfg)
+    both = np.array([True, True, True, False, False, False, False])
+    np.testing.assert_array_equal(np.isnan(theta), both)
+    np.testing.assert_array_equal(np.isnan(phi), both)
+    assert theta[3] == math.pi / 2 and theta[4] == 0.0
+
+
+def test_unwrap_to_anchor_restores_branches():
+    x = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+    slope = np.array([[0.9, -0.7, 0.2], [-1.1, 0.5, 0.8]])  # (2, T): rows as in orientation
+    truth = slope[..., None] * x  # (2, T, 6), beyond pi at |x| = 3
+    phases = truth.copy()
+    phases[..., [0, 4]] += 2 * np.pi
+    phases[..., [1, 5]] -= 2 * np.pi
+    anchor = np.abs(x) == 1  # the anchor entries stay within (-pi, pi]
+    est_mod._unwrap_to_anchor(phases, x, anchor)
+    np.testing.assert_allclose(phases, truth, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(phases[..., anchor], truth[..., anchor])
+    # an empty anchor moves nothing: for every trial, or for trial 1 only
+    moved = truth.copy()
+    moved[..., 0] -= 2 * np.pi
+    phases = moved.copy()
+    est_mod._unwrap_to_anchor(phases, x, np.zeros(6, bool))
+    np.testing.assert_array_equal(phases, moved)
+    phases = moved.copy()
+    est_mod._unwrap_to_anchor(phases, x, np.array([[True], [False], [True]]) & anchor)
+    np.testing.assert_array_equal(phases[:, 1], moved[:, 1])
+    np.testing.assert_allclose(phases[:, [0, 2]], truth[:, [0, 2]], rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------- estimators
