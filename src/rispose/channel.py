@@ -123,11 +123,6 @@ def ris_profiles(cfg: SystemConfig) -> np.ndarray:
     return np.exp(-2j * np.pi * ((p * i) % cfg.n_ris) / cfg.n_ris)
 
 
-def _pilot_scale(cfg: SystemConfig) -> float:
-    """Entry magnitude of the pilot block: power split over antennas and symbols."""
-    return math.sqrt(cfg.power_w / (cfg.k_ue * cfg.l_pilot))
-
-
 def _profile_residues(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """DFT row ``p mod n_ris`` of each profile, and how many profiles share each row."""
     residue = np.arange(cfg.p_profiles) % cfg.n_ris
@@ -151,16 +146,16 @@ def _link(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def pilot_matrix(cfg: SystemConfig) -> np.ndarray:
     """Orthogonal pilot block, shape (k_ue, l_pilot).
 
-    First k_ue rows of the l_pilot-point DFT matrix, scaled so that
-    ``S S^H = (power_w / k_ue) * I`` (total transmit power split across
-    antennas and pilot symbols).  ``a @ S`` is therefore the zero-padded
-    FFT ``np.fft.fft(a, n=l_pilot, axis=1)`` times that scale, which is how
-    ``observe`` applies it; this matrix is the explicit form the tests and
-    the validation suite check against.
+    First k_ue rows of the l_pilot-point DFT matrix: unit-modulus entries,
+    so ``S S^H = l_pilot * I``.  ``a @ S`` is therefore the zero-padded FFT
+    ``np.fft.fft(a, n=l_pilot, axis=1)``, which is how ``observe`` applies
+    it; this matrix is the explicit form the tests and the validation suite
+    check against.  The SNR is set at the receiver, so the pilots carry no
+    transmit power scale.
     """
     a = np.arange(cfg.k_ue)[:, None]
     b = np.arange(cfg.l_pilot)[None, :]
-    return _pilot_scale(cfg) * np.exp(-2j * np.pi * a * b / cfg.l_pilot)
+    return np.exp(-2j * np.pi * a * b / cfg.l_pilot)
 
 
 def check_snr(snr_db, what: str = "snr_db") -> float:
@@ -177,10 +172,10 @@ def _noise_std(u: np.ndarray, cfg: SystemConfig, snr_db: float) -> np.ndarray:
     ``u`` is the element-axis spectrum ``fft(conj(h_r) * a, axis=-2)`` of the
     (n_ris, k_ue) channel ``a``, or of each channel in a (T, n_ris, k_ue)
     stack.  Observation block p is ``h_b`` times the pilot-axis FFT of
-    ``u[p mod n_ris]``, scaled by ``_pilot_scale``; with ``|h_b| = 1`` and
-    Parseval (``|fft(x, n=L)|^2 = L |x|^2``) the mean signal power per
-    entry is ``scale^2 * sum_r c_r |u_r|^2 / P``, where ``c_r`` counts the
-    profiles with residue r.  The noise variance per entry is that power
+    ``u[p mod n_ris]``; with ``|h_b| = 1`` and Parseval
+    (``|fft(x, n=L)|^2 = L |x|^2``) the mean signal power per entry is
+    ``sum_r c_r |u_r|^2 / P``, where ``c_r`` counts the profiles with
+    residue r.  The noise variance per entry is that power
     over ``10^(snr_db / 10)``, split evenly over the real and imaginary
     parts.  ``snr_db = inf`` gives 0; below about -6165 dB the gain is inf
     rather than an OverflowError.
@@ -196,7 +191,7 @@ def _noise_std(u: np.ndarray, cfg: SystemConfig, snr_db: float) -> np.ndarray:
     energy = (counts * (u.real ** 2 + u.imag ** 2).sum(axis=-1)).sum(axis=-1)
     with np.errstate(over="ignore"):
         gain = float(np.power(10.0, -snr_db / 20.0))
-    std = _pilot_scale(cfg) * np.sqrt(energy / (2 * cfg.p_profiles))
+    std = np.sqrt(energy / (2 * cfg.p_profiles))
     # an overflowing product is inf, which yields a nonfinite channel; no
     # signal times an infinite gain is NaN, which draws no noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -230,7 +225,6 @@ def observe(a: np.ndarray, cfg: SystemConfig, snr_db: float,
     u = np.fft.fft(h_r.conj()[:, None] * a, axis=0)
     std = float(_noise_std(u, cfg, snr_db))
     t = np.fft.fft(u, n=cfg.l_pilot, axis=1)
-    t *= _pilot_scale(cfg)
     residue, _ = _profile_residues(cfg)
     y = (h_b[None, :, None] * t[residue][:, None, :]).reshape(-1, cfg.l_pilot)
     if std > 0:
@@ -255,8 +249,9 @@ def _pilot_inverse(w: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Pilot inverse of the per-profile projections ``w_p = h_b^H y_p``, (P, L).
 
     Sums the w_p that share a residue ``p mod n_ris`` and averages them,
-    then inverts the pilots as an inverse FFT over the pilot axis whose
-    first k_ue columns are kept: shape (n_ris, k_ue).  Overwrites ``w``.
+    then inverts the pilots (``S S^H = L I``) as an inverse FFT over the
+    pilot axis whose first k_ue columns are kept: shape (n_ris, k_ue).
+    Overwrites ``w``.
     """
     n = cfg.n_ris
     _, _, counts = _link(cfg)
@@ -267,8 +262,7 @@ def _pilot_inverse(w: np.ndarray, cfg: SystemConfig) -> np.ndarray:
         chunk = w[start:start + n]
         folded[:len(chunk)] += chunk
     folded /= counts[:, None]
-    # s^H K / power is the first k_ue columns of an ifft over the pilot axis,
-    # times L * scale * K / power
+    # s^H / L is the first k_ue columns of an ifft over the pilot axis
     return np.fft.ifft(folded, axis=1)[:, :cfg.k_ue]
 
 
@@ -276,11 +270,11 @@ def _profile_inverse(x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Channel from ``_pilot_inverse`` output, (n_ris, k_ue) or a (T, n_ris, k_ue) stack.
 
     Inverts the profiles as an inverse FFT over the element axis times
-    ``h_r``, and scales by ``1/M`` and the pilot gain.
+    ``h_r``, and scales by ``1/M``.
     """
     _, h_r, _ = _link(cfg)
     x = h_r[:, None] * np.fft.ifft(x, axis=-2)
-    x *= _pilot_scale(cfg) * cfg.l_pilot * cfg.k_ue / (cfg.power_w * cfg.m_bs)
+    x /= cfg.m_bs
     return x
 
 
@@ -293,8 +287,9 @@ def recover_channel(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     which the DFT diagonalises.  The exact left pseudoinverse is therefore:
     project each block onto ``h_b`` (``w_p = h_b^H y_p / M``), average the
     w_p that share a residue ``p mod n_ris``, inverse-FFT over the element
-    axis and multiply by ``h_r``.  The DFT pilots invert as ``s^H K / power``:
-    an inverse FFT over the pilot axis, of which the first K columns are kept.
+    axis and multiply by ``h_r``.  The DFT pilots invert as ``s^H / L``
+    (``S S^H = L I``): an inverse FFT over the pilot axis, of which the
+    first K columns are kept.
 
     Noiseless observations recover the (n_ris, k_ue) channel to machine
     precision; with noise the estimate is the channel plus colored noise.
@@ -326,8 +321,12 @@ def sound_and_recover(a: np.ndarray, cfg: SystemConfig, snr_db: float,
     noise overflows yields a nonfinite channel, as ``observe`` does.
 
     Raises:
-        ValueError: if ``snr_db`` is NaN or -inf.
+        ValueError: if ``a`` is not a (T, n_ris, k_ue) stack, ``rngs`` does
+            not hold T generators, or ``snr_db`` is NaN or -inf.
     """
+    if a.ndim != 3 or a.shape[1:] != (cfg.n_ris, cfg.k_ue) or len(rngs) != len(a):
+        raise ValueError(f"expected a (T, {cfg.n_ris}, {cfg.k_ue}) stack and T "
+                         f"generators, got {a.shape} and {len(rngs)}")
     h_b, h_r, _ = _link(cfg)
     std = _noise_std(np.fft.fft(h_r.conj()[:, None] * a, axis=-2), cfg, snr_db)
     noisy = np.flatnonzero(std > 0)

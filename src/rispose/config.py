@@ -1,9 +1,8 @@
 """Run configuration: flat key = value files and defaults.
 
 The file format is one ``key = value`` pair per line, UTF-8, with ``#``
-comments and blank lines allowed.  Values at this boundary use presentation
-units: angles in degrees and transmit power in dBm.  The key tables below
-convert them once, on parsing, to the radians/watts units of
+comments and blank lines allowed.  Angles at this boundary are in degrees.
+The key tables below convert them once, on parsing, to the radians of
 ``SystemConfig``, which alone holds the system defaults.
 """
 
@@ -21,15 +20,6 @@ class ConfigError(Exception):
     """Malformed or invalid run configuration."""
 
 
-def _power_w(raw: str) -> float:
-    power_dbm = float(raw)
-    try:
-        return 10.0 ** (power_dbm / 10.0 - 3.0)
-    except OverflowError:
-        raise ConfigError(f"power_dbm = {power_dbm!r} overflows the "
-                          f"transmit power in watts") from None
-
-
 def _radians(raw: str) -> float:
     return math.radians(float(raw))
 
@@ -44,9 +34,8 @@ _SYSTEM_KEYS = {
     "n_y": ("n_y", int), "p": ("p_profiles", int), "l": ("l_pilot", int),
     "wavelength": ("wavelength", float), "d_u": ("d_u", float),
     "d_b": ("d_b", float), "d_x": ("d_x", float), "d_y": ("d_y", float),
-    "power_dbm": ("power_w", _power_w), "theta_bs_deg": ("theta_bs", _radians),
-    "theta_ris_deg": ("theta_ris", _radians),
-    "phi_ris_deg": ("phi_ris", _radians),
+    "theta_bs_deg": ("theta_bs", _radians),
+    "theta_ris_deg": ("theta_ris", _radians), "phi_ris_deg": ("phi_ris", _radians),
 }
 # file key -> (sweep axis, parser); an empty list adds no axis
 _SWEEP_KEYS = {

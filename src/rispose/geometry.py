@@ -50,7 +50,6 @@ class SystemConfig:
         d_u: user array antenna spacing.
         d_b: base-station antenna spacing.
         d_x, d_y: RIS element spacing per axis.
-        power_w: total transmit power in watts.
         theta_bs: BS array broadside angle seen from the RIS.
         theta_ris, phi_ris: azimuth/elevation of the BS seen from the RIS.
     """
@@ -66,7 +65,6 @@ class SystemConfig:
     d_b: float = 0.165
     d_x: float = 0.0825
     d_y: float = 0.0825
-    power_w: float = 10.0
     theta_bs: float = math.radians(30.0)
     theta_ris: float = math.radians(40.0)
     phi_ris: float = math.radians(50.0)
@@ -92,7 +90,7 @@ class SystemConfig:
                 f"p_profiles must be >= the RIS size "
                 f"({self.p_profiles} < {self.n_ris})"
             )
-        for name in ("wavelength", "d_u", "d_b", "d_x", "d_y", "power_w"):
+        for name in ("wavelength", "d_u", "d_b", "d_x", "d_y"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")

@@ -104,10 +104,10 @@ def check_profile_orthogonality(cfg: SystemConfig) -> CheckResult:
 
 
 def check_pilot_orthogonality(cfg: SystemConfig) -> CheckResult:
-    """Pilot block satisfies S S^H = (power / K) I."""
+    """Pilot block satisfies S S^H = L I."""
     s = pilot_matrix(cfg)
     gram = s @ s.conj().T
-    target = cfg.power_w / cfg.k_ue * np.eye(cfg.k_ue)
+    target = cfg.l_pilot * np.eye(cfg.k_ue)
     return _result("pilot orthogonality", float(np.abs(gram - target).max()),
                    TOL_IDENTITY)
 

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -43,7 +46,6 @@ d_u = 0.165
 d_b = 0.165
 d_x = 0.0825
 d_y = 0.0825
-power_dbm = 37.5
 theta_bs_deg = 25.0
 theta_ris_deg = 42.0
 phi_ris_deg = 55.0
@@ -80,7 +82,7 @@ def test_parse_full_and_round_trip():
 def test_documented_keys_match_parser():
     # FULL and README's key table each list exactly the accepted keys
     accepted = set(_SYSTEM_KEYS) | set(_SWEEP_KEYS) | set(_RUN_KEYS)
-    assert len(accepted) == 25
+    assert len(accepted) == 24
     full = [line.split("=")[0].strip() for line in FULL.splitlines()
             if not line.startswith("#")]
     assert sorted(full) == sorted(accepted)
@@ -132,11 +134,10 @@ def test_invalid_settings_rejected():
         with pytest.raises(ConfigError, match="snr_db"):
             parse_config(text)
     assert parse_config("snr_db = inf\n").snr_db == math.inf
-    # lengths, power and angles must be finite, and so must the power in
-    # watts, the near-field window and the UE array's far-field distance;
-    # the spacings must keep every phase the estimator reads wrap-free
-    for text, key in (("power_dbm = 4000\n", "power_dbm"),
-                      ("power_dbm = inf\n", "power_w"), ("d_x = inf\n", "d_x"),
+    # lengths and angles must be finite, and so must the near-field window
+    # and the UE array's far-field distance; the spacings must keep every
+    # phase the estimator reads wrap-free
+    for text, key in (("d_x = inf\n", "d_x"),
                       ("wavelength = nan\n", "wavelength"),
                       ("theta_bs_deg = inf\n", "theta_bs"),
                       ("phi_ris_deg = nan\n", "phi_ris"),
@@ -158,9 +159,7 @@ def test_invalid_settings_rejected():
 
 
 def test_system_unit_conversion():
-    rc = parse_config("power_dbm = 40.0\ntheta_bs_deg = 30.0\n")
-    cfg = rc.system
-    assert cfg.power_w == pytest.approx(10.0, rel=1e-12)
+    cfg = parse_config("theta_bs_deg = 30.0\n").system
     assert cfg.theta_bs == pytest.approx(math.radians(30.0), abs=1e-15)
 
 
@@ -253,9 +252,8 @@ def test_cli_estimate_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["estimate", "--pose", "inf,70,35,110,45"]) == 2  # r = inf
     assert main(["estimate", "--snr-db", "nan"]) == 2
     assert main(["estimate", "--snr-db=-inf"]) == 2
-    for text in ("power_dbm = 4000\n", "power_dbm = inf\n", "d_x = inf\n",
-                 "theta_bs_deg = inf\n", "d_x = 1e200\n", "d_u = 1e154\n",
-                 "d_u = 1e300\n"):
+    for text in ("d_x = inf\n", "theta_bs_deg = inf\n", "d_x = 1e200\n",
+                 "d_u = 1e154\n", "d_u = 1e300\n"):
         bad.write_text(text)
         assert main(["estimate", "--config", str(bad)]) == 2
     capsys.readouterr()
@@ -403,6 +401,17 @@ def test_validation_catches_model_corruption(monkeypatch):
         monkeypatch.setattr("rispose.validate.ris_ue_channel", misordered)
         failed = {r.name for r in run_validation() if not r.passed}
         assert {"direction shift identity", "orientation shift identity"} <= failed
+
+
+def test_cli_module_run_validates():
+    # ``python -m rispose.cli`` runs the CLI as the installed script does
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "rispose.cli", "validate"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "12/12 checks passed" in proc.stdout
 
 
 def test_cli_validate_pass_and_fail(capsys, monkeypatch):

@@ -657,6 +657,19 @@ def test_estimate_pose_full_pipeline(cfg, pose):
         assert est.psi_hat == pytest.approx(pose.psi, abs=1e-6)
 
 
+def test_estimate_pose_ignores_observation_scale(cfg):
+    # every stage reads phase ratios of the recovered channel, so a complex
+    # gain on the observation (a transmit power, a common phase) changes
+    # no estimate
+    for t in range(50):
+        rng = np.random.default_rng([35, t])
+        y = observe(fresnel(sample_pose(rng, cfg), cfg), cfg, 10.0, rng)
+        base = estimate_pose(y, cfg).as_tuple()
+        for c in (1e-3, 37.0, 2.5 * np.exp(1.1j), 1j):
+            np.testing.assert_allclose(estimate_pose(c * y, cfg).as_tuple(), base,
+                                       rtol=1e-12, atol=0)
+
+
 def test_estimate_pose_partial_results_on_late_failure(cfg, pose, monkeypatch):
     # a stage fails a trial with NaN; its row keeps the values of the stages
     # it passed and holds NaN after them, and estimate_pose raises that stage

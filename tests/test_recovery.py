@@ -75,9 +75,9 @@ def test_recovery_linearity_in_noise(cfg, pose):
 
 def test_residual_noise_scale_prediction(cfg):
     # with P = N, inversion turns iid observation noise into iid channel
-    # noise with per-entry variance sigma^2 * K / (power * M * P)
+    # noise with per-entry variance sigma^2 / (L * M * P)
     rows = cfg.m_bs * cfg.p_profiles
-    predicted = math.sqrt(cfg.k_ue / (cfg.power_w * rows))
+    predicted = math.sqrt(1 / (cfg.l_pilot * rows))
     sigma = 0.4
     rng = np.random.default_rng(77)
     samples = []
@@ -105,6 +105,18 @@ def test_sound_and_recover_noiseless_returns_channel(cfg, pose):
     assert sound_and_recover(a, cfg, math.inf, [rng]) is a
     # the stream was not consumed
     assert rng.standard_normal() == np.random.default_rng(99).standard_normal()
+
+
+def test_sound_and_recover_rejects_malformed_stack(cfg, pose):
+    a = ris_ue_channel(pose.as_tuple(), cfg, ChannelMode.FRESNEL)
+    stack = np.stack([a, a, a])
+    rngs = [np.random.default_rng(t) for t in range(4)]
+    # a single channel, a stack with the wrong element count, and too few or
+    # too many generators for its three trials
+    for x, gens in ((a, rngs[:1]), (stack[:, 1:], rngs[:3]), (stack, rngs[:2]),
+                    (stack, rngs)):
+        with pytest.raises(ValueError, match=r"\(T, 35, 5\) stack and T generators"):
+            sound_and_recover(x, cfg, 10.0, gens)
 
 
 @st.composite
